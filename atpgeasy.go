@@ -97,8 +97,8 @@ const (
 )
 
 // DefaultGroupMax is the region-group size cap of incremental solving
-// (RunOptions.GroupMax of 0): at most this many collapsed faults share
-// one encoded region formula and one persistent solver instance.
+// (RunOptions.GroupMax of 0): at most this many collapsed faults are
+// encoded and solved together on a worker's persistent solver instance.
 const DefaultGroupMax = atpg.DefaultGroupMax
 
 // Observability types: attach a Telemetry to RunOptions to get live

@@ -497,16 +497,16 @@ func BenchmarkRPTPhase(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalCDCL is the tentpole A/B: region-grouped
-// incremental solving — one persistent CDCL instance per worker, learned
-// clauses alive across a fanout region's faults — against a fresh
-// instance per fault (GroupMax 1: cold Load, nothing retained) on the
-// same engine path. Both runs produce byte-identical vectors and solve
-// the identical fault set (RPT and dropping off, one worker), so the
-// rows are a pure knowledge-reuse comparison: ns/op is the full run,
-// conflicts the deterministic total search. cmd/scalecheck gates the
-// incremental/fresh ns ratio at 1.05; the committed rows must also show
-// no conflict increase.
+// BenchmarkIncrementalCDCL is the incremental A/B: one persistent CDCL
+// instance per worker holding the good circuit for the whole run, with
+// learned clauses alive across faults — against fresh-per-fault solving
+// (Incremental off: a NewMiter encode and a fresh DPLL solve per fault,
+// nothing retained, the worker arenas on for both). Both runs solve the
+// identical fault set with the same verdicts (RPT and dropping off, one
+// worker), so the rows are a pure reuse comparison: ns/op is the full
+// run, conflicts the deterministic total search. cmd/scalecheck gates
+// the incremental/fresh ns ratio at 1.05; the committed rows must also
+// show no conflict increase.
 func BenchmarkIncrementalCDCL(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -515,12 +515,12 @@ func BenchmarkIncrementalCDCL(b *testing.B) {
 		{"mult16", gen.ArrayMultiplier(16)},
 		{"rand200", gen.Random(gen.RandomParams{Inputs: 18, Gates: 200, Seed: 1})},
 	} {
-		run := func(b *testing.B, groupMax int) (conflicts int64) {
+		run := func(b *testing.B, incremental bool) (conflicts int64) {
 			b.Helper()
 			eng := &atpg.Engine{Workers: 1}
 			for i := 0; i < b.N; i++ {
 				sum, err := eng.Run(context.Background(), tc.c, atpg.RunOptions{
-					Collapse: true, Incremental: true, GroupMax: groupMax,
+					Collapse: true, Incremental: incremental,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -535,11 +535,11 @@ func BenchmarkIncrementalCDCL(b *testing.B) {
 		}
 		var freshConflicts int64
 		b.Run(tc.name+"/fresh", func(b *testing.B) {
-			freshConflicts = run(b, 1)
+			freshConflicts = run(b, false)
 			recordBenchConflicts(b, 1, freshConflicts)
 		})
 		b.Run(tc.name+"/incremental", func(b *testing.B) {
-			conflicts := run(b, 0)
+			conflicts := run(b, true)
 			if freshConflicts > 0 && conflicts > freshConflicts { // fresh may be filtered out by -bench
 				b.Fatalf("retention cost search: %d conflicts incremental, %d fresh", conflicts, freshConflicts)
 			}

@@ -33,10 +33,10 @@
 //
 // With the default dpll solver the engine runs incrementally: faults
 // sharing a transitive-fanout region are grouped (at most -group-max per
-// group), encoded once with per-fault activation literals, and solved on
-// a persistent per-worker CDCL instance that keeps learned clauses alive
-// across the group — same verdicts and vectors as fresh-per-fault
-// solving, less repeated search. -incremental=false (or a non-dpll
+// group) and solved under per-fault activation literals on a persistent
+// per-worker CDCL instance that holds the fault-free circuit for the
+// whole run and keeps learned clauses alive across groups — same
+// verdicts as fresh-per-fault solving, less repeated work. -incremental=false (or a non-dpll
 // -solver) restores fresh-per-fault solving; -group-max 1 keeps the
 // incremental core but gives every fault its own group.
 //
@@ -134,7 +134,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random-pattern generator seed (same seed = same run)")
 	solver := flag.String("solver", "dpll", "SAT engine: dpll, caching or simple")
 	incremental := flag.Bool("incremental", true, "region-grouped incremental solving: keep learned clauses alive across a fanout region's faults (dpll solver only)")
-	groupMax := flag.Int("group-max", atpg.DefaultGroupMax, "max faults per region group in incremental mode (1 = fresh instance per fault)")
+	groupMax := flag.Int("group-max", atpg.DefaultGroupMax, "max faults per region group in incremental mode (1 = one fault per group)")
 	route := flag.Bool("route", false, "cut-width-guided fault routing: dispatch each fault to the backend (podem, caching, cdcl, faultsim) its structure predicts cheapest")
 	routeWidthMax := flag.Int("route-width-max", 0, "largest sub-circuit (nodes) the router refines with an MLA layout search (0 = default)")
 	routeHardScale := flag.Float64("route-hard-scale", 0, "per-fault budget multiplier for hard-class faults (0 = default)")

@@ -15,6 +15,7 @@ import (
 	"atpgeasy/internal/faultsim"
 	"atpgeasy/internal/logic"
 	"atpgeasy/internal/obs"
+	"atpgeasy/internal/podem"
 	"atpgeasy/internal/sat"
 )
 
@@ -109,7 +110,9 @@ type Engine struct {
 	Workers int
 	// DisableScratchReuse turns off the per-worker arenas: solver scratch,
 	// CNF encode buffers and fault-simulation buffers are then allocated
-	// fresh per fault, as in the pre-arena engine. Verdicts and test
+	// fresh per fault, as in the pre-arena engine, and the incremental
+	// path loads the good circuit into a fresh instance for every fault
+	// instead of once per worker. Verdicts and test
 	// vectors are identical either way — the sub-formula cache only prunes
 	// UNSAT subtrees, so it can never change which model a search finds
 	// first — but node counts may shift slightly because a reused cache
@@ -138,6 +141,35 @@ type workerScratch struct {
 	// eff is the worker's effort-record encoding buffer, reused across
 	// faults so an enabled effort log adds no per-fault allocations.
 	eff effortEncoder
+	// good is the circuit whose fault-free copy the arena's incremental
+	// instance holds (nil: none loaded), and goodMark the instance's
+	// Mark right after that load, to which every fault retires.
+	good     *logic.Circuit
+	goodMark sat.Mark
+	// miter is the worker's fault encoder, reused across faults.
+	miter incMiter
+	// podem is the routed structural backend's searcher, built on the
+	// worker's first PODEM solve (nil: none yet).
+	podem *podem.Searcher
+}
+
+// replaceArena swaps in a fresh arena after a recovered panic — the old
+// one may be mid-solve — carrying the watchdog's sticky cache and
+// learned-clause caps over, and forgets the loaded good circuit so the
+// next fault reloads it into the new instance; the PODEM searcher goes
+// with it.
+func (ws *workerScratch) replaceArena() {
+	prevCache, prevLearned := ws.arena.CacheCap(), ws.arena.LearnedCap()
+	ws.arena = sat.NewArena()
+	if prevCache > 0 {
+		for ws.arena.Shrink() > prevCache {
+		}
+	}
+	if prevLearned > 0 {
+		ws.arena.Incremental().LearnedLimit = prevLearned
+	}
+	ws.good = nil
+	ws.podem = nil
 }
 
 // newScratch returns a fresh per-worker scratch, or nil when reuse is
@@ -416,22 +448,24 @@ type RunOptions struct {
 	// per-phase emission rule). Nil disables the log at the cost of one
 	// pointer check per fault.
 	EffortLog *EffortLog
-	// Incremental solves the faults of each fanout region as one group on
-	// a persistent per-worker CDCL instance under assumptions
-	// (sat.Incremental), so clauses learned for one fault prune the
-	// search for its region neighbors. Requires the DPLL solver family
-	// (a nil Engine.Solver or *sat.DPLL with learning enabled); other
-	// configurations silently fall back to fresh-per-fault solving.
-	// Verdicts and vectors are byte-identical to fresh-per-fault solving
-	// on the incremental path (GroupMax 1) at any worker count, but
-	// differ from the non-incremental path, whose solver does not use
+	// Incremental dispatches the faults of each fanout region as one
+	// group and solves them under assumptions on a persistent per-worker
+	// CDCL instance (sat.Incremental) that holds the fault-free circuit
+	// for the whole run, so clauses learned for one fault prune the search
+	// for its region neighbors and every later fault. Requires the DPLL
+	// solver family (a nil Engine.Solver or *sat.DPLL with learning
+	// enabled); other configurations silently fall back to
+	// fresh-per-fault solving. Verdicts and vectors are byte-identical to
+	// a cold instance per fault (DisableScratchReuse) at any worker
+	// count, but differ from the non-incremental path, whose solver does
+	// not use
 	// lex-first input branching — so a journal written by one mode is
 	// rejected by the other (see CheckpointFingerprint).
 	Incremental bool
 	// GroupMax caps the members per region group (0 = DefaultGroupMax,
-	// 1 = fresh-per-fault). Purely a knowledge-reuse knob: the dispatch
-	// order, drop set, verdicts and vectors are identical for every
-	// value.
+	// 1 = one fault per group). Purely a dispatch-granularity knob: the
+	// dispatch order, drop set, verdicts and vectors are identical for
+	// every value.
 	GroupMax int
 	// EffortWidth additionally computes each fault's sub-circuit
 	// cut-width (internal/hypergraph + internal/mla) as an effort-log
@@ -593,18 +627,10 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 		// Routed portfolio dispatch: classify every live fault and order
 		// hard (grouped) → structural → low-width → trivial, so the cheap
 		// tail is mostly dropped by earlier backends' vectors before it is
-		// claimed. The router reuses the effort log's feature table when
-		// one was computed.
-		var feats []FaultFeatures
-		if st.effort != nil {
-			feats = st.effort.feats
-		} else {
-			feats = computeFeatures(c, faults, false, workers)
-		}
-		st.route = buildRoute(c, faults, st.preDecided, feats, opt.RouteWidthMax, opt.GroupMax, workers)
+		// claimed.
+		st.route = buildRoute(c, faults, st.preDecided, opt.RouteWidthMax, opt.GroupMax, workers)
 		st.order = st.route.order
 		st.groups = st.route.groups
-		st.recordedF = newBitset(len(faults))
 		tel.observeGroups(st.groups)
 	} else if st.incremental {
 		st.order, st.groups = buildGroups(c, faults, st.preDecided, opt.GroupMax)
@@ -748,11 +774,7 @@ type runState struct {
 	// Routed portfolio dispatch (nil on the unrouted paths): the plan
 	// carries per-fault classes and the class-ordered dispatch order;
 	// groups then covers only the hard-class prefix of order.
-	route *routePlan
-	// recordedF dedups effort records for routed drops: a fault whose
-	// speculative solve is discarded by the worker must not also get the
-	// commit frontier's clean-drop record. Nil on unrouted runs.
-	recordedF  bitset
+	route      *routePlan
 	droppedF   bitset                       // officially dropped by a committed vector flush
 	preDecided []bool                       // decided before dispatch: RPT detection or resume replay
 	published  []atomic.Pointer[specResult] // speculative solves, one slot per fault
@@ -1266,14 +1288,17 @@ func (st *runState) commitLocked(ws *workerScratch, worker int) error {
 		if st.droppedF.get(i) {
 			if sr := st.published[i].Load(); sr != nil {
 				st.countWasted(1)
-				if st.effort != nil && (st.route == nil || st.recordedF.set(i)) {
+				if st.effort != nil {
 					st.recordEffort(ws, i, &sr.res, "dropped", sr.res.Status, 0, int(sr.worker), true)
 				}
-			} else if st.route != nil && st.effort != nil && st.recordedF.set(i) {
-				// Routed runs record clean drops too: the router predicted a
-				// class for this fault and fault simulation decided it, so the
-				// accuracy join still gets exactly one record (backend
-				// "faultsim", no solver work, not wasted).
+			}
+			if st.route != nil && st.effort != nil {
+				// Routed runs record the drop verdict too, here and only
+				// here: the router predicted a class for this fault and
+				// fault simulation decided it, so the accuracy join gets
+				// exactly one record (backend "faultsim", no solver work,
+				// not wasted) whether or not a discarded solve also left a
+				// wasted record.
 				st.recordEffort(ws, i, nil, "dropped", Detected, 0, -1, false)
 			}
 			if st.route != nil {

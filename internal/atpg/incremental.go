@@ -3,11 +3,13 @@ package atpg
 // This file is the engine side of incremental region-grouped solving:
 // the gate deciding when the mode applies, the group worker that claims
 // whole region groups off an atomic cursor, and solveGroup, which
-// encodes one group formula and decides every member on a persistent
-// per-worker CDCL instance under assumptions. The retry tiers reuse
-// solveGroup over their own re-grouped queues (resilience.go), so a
-// retried fault also benefits from clauses learned by its region
-// neighbors in the same tier.
+// decides every member of a group on the worker's persistent CDCL
+// instance under assumptions. The instance holds the fault-free circuit
+// for the whole run; a group only adds its faulty cones and gated
+// clauses and retires them when done. The retry tiers reuse solveGroup
+// over their own re-grouped queues (resilience.go), so a retried fault
+// also benefits from clauses learned by its region neighbors and by
+// every earlier group on the worker.
 
 import (
 	"context"
@@ -16,6 +18,7 @@ import (
 	"time"
 
 	"atpgeasy/internal/cnf"
+	"atpgeasy/internal/logic"
 	"atpgeasy/internal/obs"
 	"atpgeasy/internal/sat"
 )
@@ -61,11 +64,13 @@ func (e *Engine) routeEnabled(opt RunOptions) bool {
 	}
 }
 
-// incrementalFor returns the worker's persistent incremental instance —
-// the arena-held one when scratch reuse is on (so consecutive groups
-// reuse its buffers and Shrink reaches its learned DB), a fresh one per
-// group otherwise — configured with the engine solver's conflict bound.
-func (e *Engine) incrementalFor(ws *workerScratch) *sat.Incremental {
+// goodInstance returns an incremental instance holding c's fault-free
+// circuit and the Mark every fault retires to, configured with the
+// engine solver's conflict bound; w is the clause writer the load goes
+// through. With scratch reuse the instance is the arena's and the
+// circuit is loaded once per worker per run (again only after a panic
+// replaced the arena); without it each call loads a fresh instance.
+func (e *Engine) goodInstance(c *logic.Circuit, ws *workerScratch, w *cnf.ClauseWriter) (*sat.Incremental, sat.Mark, error) {
 	var inc *sat.Incremental
 	if ws != nil {
 		inc = ws.arena.Incremental()
@@ -75,7 +80,20 @@ func (e *Engine) incrementalFor(ws *workerScratch) *sat.Incremental {
 	if d, ok := e.Solver.(*sat.DPLL); ok {
 		inc.MaxConflicts = d.MaxConflicts
 	}
-	return inc
+	if ws != nil && ws.good == c {
+		return inc, ws.goodMark, nil
+	}
+	if ws != nil {
+		ws.good = nil // until the load below completes
+	}
+	if err := loadGood(inc, c, w); err != nil {
+		return nil, sat.Mark{}, err
+	}
+	mark := inc.Mark()
+	if ws != nil {
+		ws.good, ws.goodMark = c, mark
+	}
+	return inc, mark, nil
 }
 
 // groupEmit receives one member's decided result. The main sweep
@@ -123,22 +141,19 @@ func (e *Engine) runGroupWorker(ctx context.Context, st *runState, worker int, w
 }
 
 // solveGroup decides every undropped member of one region group on the
-// worker's incremental instance: one GroupMiter build, one formula
-// Load, then one SolveAssuming per member under its activation
-// assumptions. Members dropped before the build are excluded from the
-// encoding; members dropped after it are skipped without a solve —
-// both mirror the fresh path's claim-time drop check. A panic anywhere
-// in the group becomes Errored results for the members not yet emitted,
-// and the worker's arena is replaced (sticky shrink caps carried over)
-// so the next group starts clean.
+// worker's incremental instance, one member at a time (solveIncremental).
+// Members dropped before their turn are skipped without a solve, like a
+// fresh-path fault dropped before its claim. A panic anywhere in the
+// group becomes Errored results for the members not yet emitted, and
+// the worker's arena is replaced (sticky shrink caps carried over), so
+// the next group reloads the good circuit into a clean instance.
 //
 // order is the dispatch array g's span indexes into; budget, when
-// positive, bounds each member's solve separately (the group shares
-// learned clauses, never a deadline). Verdicts and vectors are
-// independent of group size and timing: the solver's lex-first
-// branching over the region's input variables makes each member's first
-// model project to the lex-least input assignment, whatever clauses
-// retention has added — see sat.Incremental's determinism contract.
+// positive, bounds each member's solve separately. Verdicts and vectors
+// are independent of group size and timing: the solver's lex-first
+// branching over the circuit's inputs makes each member's first model
+// project to the lex-least input assignment, whatever clauses retention
+// has added — see sat.Incremental's determinism contract.
 func (e *Engine) solveGroup(ctx context.Context, st *runState, order []int32, g *faultGroup, ws *workerScratch, worker int, shrinkSeen *int64, parent obs.SpanContext, budget time.Duration, emit groupEmit) (err error) {
 	tel := st.opt.Telemetry
 	members := order[g.start:g.end]
@@ -149,18 +164,7 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, order []int32, g 
 			return
 		}
 		if ws != nil {
-			// The panic may have left the arena (and its incremental
-			// instance) mid-solve; replace it, carrying the watchdog's
-			// sticky caps so shrink state survives the swap.
-			prevCache, prevLearned := ws.arena.CacheCap(), ws.arena.LearnedCap()
-			ws.arena = sat.NewArena()
-			if prevCache > 0 {
-				for ws.arena.Shrink() > prevCache {
-				}
-			}
-			if prevLearned > 0 {
-				ws.arena.Incremental().LearnedLimit = prevLearned
-			}
+			ws.replaceArena()
 		}
 		msg := fmt.Sprintf("panic: %v", r)
 		stack := string(debug.Stack())
@@ -188,55 +192,9 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, order []int32, g 
 	defer gspan.End()
 	st.ring.Record("group", worker, int64(g.id), int64(len(members)), 0)
 
-	// Build the shared region formula over the members still live. The
-	// live set depends on flush timing, but neither verdicts nor vectors
-	// do: a member's deactivated clauses are satisfied by its negated
-	// selector, and absent inputs extract as false — exactly the value
-	// lex-first branching gives them when present.
-	buildStart := time.Now()
-	live := make([]Fault, 0, len(members))
-	liveAt := make([]int, len(members)) // member k -> index into live, or -1
 	for k, idx := range members {
 		i := int(idx)
 		if st.droppedF.get(i) {
-			liveAt[k] = -1
-			continue
-		}
-		liveAt[k] = len(live)
-		live = append(live, st.faults[i])
-	}
-	if len(live) == 0 {
-		return nil
-	}
-	var (
-		gm            *GroupMiter
-		vars, clauses int
-		inc           *sat.Incremental
-	)
-	gm, err = NewGroupMiter(st.c, live)
-	if err != nil {
-		return err
-	}
-	if gm.Circuit != nil {
-		enc := ws.encoder()
-		var formula *cnf.Formula
-		formula, err = gm.EncodeWith(enc)
-		if err != nil {
-			return err
-		}
-		vars, clauses = formula.NumVars, formula.NumClauses()
-		inc = e.incrementalFor(ws)
-		inc.Load(formula, gm.Priority)
-	}
-	buildElapsed := time.Since(buildStart)
-
-	var assumps []cnf.Lit
-	for k, idx := range members {
-		i := int(idx)
-		mk := liveAt[k]
-		if mk < 0 || st.droppedF.get(i) {
-			// Dropped before (or since) the build: skipped without a
-			// solve, like a fresh-path fault dropped before its claim.
 			continue
 		}
 		if ctx.Err() != nil {
@@ -249,50 +207,18 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, order []int32, g 
 		if e.testHookPanic != nil {
 			e.testHookPanic(st.faults[i])
 		}
-		res := Result{Fault: st.faults[i], Group: g.id + 1, GroupSize: len(members)}
-		if buildElapsed > 0 {
-			// The group build is attributed to its first emitted member,
-			// so summed phase times still account for it exactly once.
-			res.BuildElapsed = buildElapsed
-			buildElapsed = 0
-		}
-		if gm.Unobservable[mk] {
-			res.Status = Untestable
-			emitted[k] = true
-			if err = emit(i, res); err != nil {
-				return err
-			}
-			continue
-		}
-		lim := sat.Limits{Cancel: ctx.Done()}
-		if budget > 0 {
-			lim.Deadline = time.Now().Add(budget)
-		}
 		fspan := tel.startSpan("fault", gspan.Context())
 		if fspan.Active() {
 			fspan.Worker = worker
 			fspan.Detail = st.faults[i].Name(st.c)
 		}
-		res.Vars, res.Clauses = vars, clauses
-		start := time.Now()
-		assumps = gm.Assumptions(mk, assumps)
-		sol := inc.SolveAssuming(assumps, lim)
-		res.Elapsed = time.Since(start)
-		res.SolverStats = sol.Stats
-		fspan.Items = sol.Stats.SearchEffort()
+		res, err := e.solveIncremental(st.c, st.faults[i], ws, sat.Limits{Cancel: ctx.Done()}, budget)
+		fspan.Items = res.SolverStats.SearchEffort()
 		fspan.End()
-		switch sol.Status {
-		case sat.Sat:
-			res.Status = Detected
-			res.Vector = gm.ExtractTest(st.c, sol.Model)
-			if e.VerifyTests && !VerifyTest(st.c, st.faults[i], res.Vector) {
-				return fmt.Errorf("atpg: generated vector fails to detect %s (pipeline bug)", st.faults[i].Name(st.c))
-			}
-		case sat.Unsat:
-			res.Status = Untestable
-		default:
-			res.Status = Aborted
+		if err != nil {
+			return err
 		}
+		res.Group, res.GroupSize = g.id+1, len(members)
 		st.ring.Record("solve", worker, int64(i), int64(res.Status), res.Elapsed.Nanoseconds())
 		if ctx.Err() != nil {
 			// The abort is a draining artifact, not a verdict.
@@ -306,11 +232,67 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, order []int32, g 
 	return nil
 }
 
-// encoder returns the scratch's reusable CNF encoder, or a fresh one
-// when scratch reuse is disabled.
-func (ws *workerScratch) encoder() *cnf.Encoder {
+// solveIncremental decides fault f on the worker's persistent instance:
+// it walks the fault's cone, loads the good circuit if the instance
+// holds none yet (see goodInstance: once per worker per run, or per
+// fault without scratch reuse), appends f's clauses, solves under its
+// selector and retires the clauses again — keeping what was learned
+// about the good circuit for the next fault. BuildElapsed covers the
+// cone walk, the encode and a load this fault triggered, so summed
+// phase times count the load exactly once. lim bounds the solve;
+// budget, when positive, adds a deadline that starts after the build,
+// so a fault that pays for the good-circuit load does not lose its
+// search time to it. A panic leaves f's clauses in the instance; the
+// caller's recovery replaces the arena, and with it the instance.
+func (e *Engine) solveIncremental(c *logic.Circuit, f Fault, ws *workerScratch, lim sat.Limits, budget time.Duration) (Result, error) {
+	res := Result{Fault: f}
+	var m *incMiter
 	if ws != nil {
-		return ws.enc
+		m = &ws.miter
+	} else {
+		m = new(incMiter)
 	}
-	return new(cnf.Encoder)
+	buildStart := time.Now()
+	observable, err := m.prepare(c, f)
+	if err != nil {
+		return res, err
+	}
+	if !observable {
+		res.Status = Untestable
+		res.BuildElapsed = time.Since(buildStart)
+		return res, nil
+	}
+	inc, mark, err := e.goodInstance(c, ws, &m.w)
+	if err != nil {
+		return res, err
+	}
+	var sol sat.Solution
+	if err = m.encode(inc); err == nil {
+		res.BuildElapsed = time.Since(buildStart)
+		res.Vars, res.Clauses = inc.NumVars(), inc.NumClauses()
+		start := time.Now()
+		if budget > 0 {
+			lim.Deadline = start.Add(budget)
+		}
+		sol = inc.SolveAssuming([]cnf.Lit{m.assumption()}, lim)
+		res.Elapsed = time.Since(start)
+	}
+	inc.Retire(mark)
+	if err != nil {
+		return res, err
+	}
+	res.SolverStats = sol.Stats
+	switch sol.Status {
+	case sat.Sat:
+		res.Status = Detected
+		res.Vector = extractTest(c, sol.Model)
+		if e.VerifyTests && !VerifyTest(c, f, res.Vector) {
+			return res, fmt.Errorf("atpg: generated vector fails to detect %s (pipeline bug)", f.Name(c))
+		}
+	case sat.Unsat:
+		res.Status = Untestable
+	default:
+		res.Status = Aborted
+	}
+	return res, nil
 }

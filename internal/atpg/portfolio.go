@@ -50,7 +50,7 @@ func (e *Engine) runRoutedWorker(ctx context.Context, st *runState, worker int, 
 			// Dropped between the solve and the publish: the official
 			// verdict is "dropped", so the solve is discarded.
 			st.countWasted(1)
-			if st.effort != nil && st.recordedF.set(i) {
+			if st.effort != nil {
 				st.recordEffort(ws, i, &res, "dropped", res.Status, 0, worker, true)
 			}
 			return nil
@@ -114,7 +114,7 @@ func (e *Engine) runRoutedWorker(ctx context.Context, st *runState, worker int, 
 		}
 		if st.droppedF.get(i) {
 			st.countWasted(1)
-			if st.effort != nil && st.recordedF.set(i) {
+			if st.effort != nil {
 				st.recordEffort(ws, i, &res, "dropped", res.Status, 0, worker, true)
 			}
 			continue
@@ -161,8 +161,8 @@ func (e *Engine) solveRouted(ctx context.Context, st *runState, i int, cls Effor
 		case ClassHard:
 			// Hard faults normally solve in the grouped prefix; a single
 			// hard solve only happens when retry escalation bumps a fault
-			// here — a fresh CDCL solve, no region group to join.
-			res, err := e.testFault(st.c, f, lim, ws, st.opt.CacheLimit)
+			// here — on the worker's persistent instance, no group to join.
+			res, err := e.solveIncremental(st.c, f, ws, lim, 0)
 			res.Backend = backendCDCL
 			return res, err
 		default: // ClassTrivial, ClassStructural: survivors go through PODEM
@@ -207,7 +207,15 @@ func (e *Engine) solvePodemBackend(st *runState, f Fault, ws *workerScratch, lim
 		popt.CC0, popt.CC1 = sc.CC0, sc.CC1
 	}
 	start := time.Now()
-	pr := podem.Run(st.c, f.Net, f.StuckAt, popt)
+	var pr podem.Result
+	if ws != nil {
+		if ws.podem == nil || ws.podem.Circuit() != st.c {
+			ws.podem = podem.NewSearcher(st.c)
+		}
+		pr = ws.podem.Run(f.Net, f.StuckAt, popt)
+	} else {
+		pr = podem.Run(st.c, f.Net, f.StuckAt, popt)
+	}
 	res := Result{
 		Fault:   f,
 		Elapsed: time.Since(start),
@@ -235,10 +243,11 @@ func (e *Engine) solvePodemBackend(st *runState, f Fault, ws *workerScratch, lim
 		return res, nil
 	}
 	if maxBT > 0 && pr.Backtracks >= maxBT {
-		// Deterministic cap abort → CDCL fallback on the remaining budget.
-		// The failed structural attempt is real work, so its wall time and
-		// counters stay on the fault's record.
-		fb, err := e.testFault(st.c, f, lim, ws, st.opt.CacheLimit)
+		// Deterministic cap abort → CDCL fallback on the remaining budget,
+		// on the worker's persistent instance. The failed structural
+		// attempt is real work, so its wall time and counters stay on the
+		// fault's record.
+		fb, err := e.solveIncremental(st.c, f, ws, lim, 0)
 		fb.Backend = backendCDCL
 		fb.Elapsed += res.Elapsed
 		fb.SolverStats.Nodes += pr.Backtracks

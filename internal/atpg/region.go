@@ -1,13 +1,17 @@
 package atpg
 
 // Region-grouped incremental solving: collapsed faults whose miters
-// share a transitive-fanout region are encoded into one formula with
-// per-fault activation (selector) literals and solved on one
-// incremental CDCL instance under assumptions, so clauses learned for
-// one fault prune the search for its region neighbors (InF-ATPG's
-// fanout-region organization, PAPERS.md). This file holds the grouping
-// — region heads, the canonical group order — and the GroupMiter, the
-// multi-fault generalization of Miter.
+// share a transitive-fanout region are dispatched as one group, so one
+// worker decides them back to back on its persistent incremental CDCL
+// instance (InF-ATPG's fanout-region organization, PAPERS.md). The
+// instance holds the whole fault-free circuit for the worker's run;
+// each fault adds its faulty cone and selector-gated activation over
+// fresh variables, is solved under its selector and is retired, so the
+// clauses learned about the good circuit — first of all the logic the
+// region's faults share — carry to every later fault on the worker.
+// This file holds the grouping — region heads, the canonical group
+// order — the good-circuit load, and incMiter, which writes one fault's
+// miter into the instance.
 
 import (
 	"fmt"
@@ -15,6 +19,7 @@ import (
 
 	"atpgeasy/internal/cnf"
 	"atpgeasy/internal/logic"
+	"atpgeasy/internal/sat"
 )
 
 // DefaultGroupMax is the group-size cap when RunOptions.GroupMax is
@@ -72,9 +77,8 @@ type faultGroup struct {
 // comparator as effortOrder — and groups are consecutive chunks of at
 // most groupMax members that never span regions. Because the flattened
 // fault order is identical for every groupMax, the engine's commit
-// frontier, flush points and drop decisions are too: group size is
-// purely a knowledge-reuse knob, with groupMax 1 degenerating to
-// fresh-per-fault solving.
+// frontier, flush points and drop decisions are too: group size only
+// sets how many faults one claim hands a worker.
 func buildGroups(c *logic.Circuit, faults []Fault, skip []bool, groupMax int) ([]int32, []faultGroup) {
 	if groupMax <= 0 {
 		groupMax = DefaultGroupMax
@@ -142,224 +146,186 @@ func buildGroups(c *logic.Circuit, faults []Fault, skip []bool, groupMax int) ([
 	return order, groups
 }
 
-// GroupMiter is the multi-fault generalization of Miter: one good copy
-// of the union of the members' C_ψ^sub supports, plus a faulty fanout
-// cone and per-output XORs for each member, with the member's fault
-// activation and observability clauses gated behind a selector
-// variable. Solving under assumptions that enable exactly one selector
-// is equivalent to solving that member's own miter — and every clause
-// the solver learns is implied by the shared formula alone, so it
-// stays valid for every member.
-type GroupMiter struct {
-	// Circuit is the shared region circuit. It has no marked outputs:
-	// the per-member observability clauses replace the global
-	// "some output differs" clause of the single-fault encoding.
-	Circuit *logic.Circuit
-	// Faults lists the member faults, in group order.
-	Faults []Fault
-	// GoodOf maps a parent node ID to its good-copy node, or -1.
-	GoodOf []int
-	// GoodFault[k] is the good copy of member k's fault net (-1 when
-	// the member is unobservable).
-	GoodFault []int
-	// Unobservable[k] reports that member k has no output in its
-	// fanout: trivially untestable, excluded from the encoding.
-	Unobservable []bool
-	// Priority lists the good-copy variables of the parent primary
-	// inputs present in the region, in parent input order. Handed to
-	// the incremental solver as the lex branching order, it makes the
-	// first model's input projection lex-least — the determinism
-	// anchor for byte-identical vectors at any group size.
-	Priority []int
-	// selVar[k] is member k's selector variable (-1 if unobservable),
-	// assigned by EncodeWith after the region circuit's variables.
-	selVar []int
-	// xorsOf[k] lists member k's XOR difference nets, in output order.
-	xorsOf [][]int
-}
-
-// NewGroupMiter builds the shared region miter for the given member
-// faults of circuit c. Members with no observable output get
-// Unobservable and take no part in the encoding; if every member is
-// unobservable the GroupMiter is still returned (with no formula
-// worth encoding) and the caller synthesizes untestable results.
-func NewGroupMiter(c *logic.Circuit, members []Fault) (*GroupMiter, error) {
-	g := &GroupMiter{
-		Faults:       members,
-		GoodOf:       make([]int, c.NumNodes()),
-		GoodFault:    make([]int, len(members)),
-		Unobservable: make([]bool, len(members)),
-		selVar:       make([]int, len(members)),
-	}
-	for i := range g.GoodOf {
-		g.GoodOf[i] = -1
-	}
-	for k := range members {
-		g.GoodFault[k] = -1
-		g.selVar[k] = -1
-	}
-
-	outSet := make(map[int]bool)
-	for _, o := range c.Outputs {
-		outSet[o] = true
-	}
-	foLists := make([][]int, len(members))
-	observable := make([][]int, len(members))
-	var allFO []int
-	for k, f := range members {
-		if f.Net < 0 || f.Net >= c.NumNodes() {
-			return nil, fmt.Errorf("atpg: fault net %d out of range", f.Net)
-		}
-		foLists[k] = c.TransitiveFanout(f.Net)
-		for _, id := range foLists[k] {
-			if outSet[id] {
-				observable[k] = append(observable[k], id)
-			}
-		}
-		if len(observable[k]) == 0 {
-			g.Unobservable[k] = true
-			continue
-		}
-		allFO = append(allFO, foLists[k]...)
-	}
-	if len(allFO) == 0 {
-		return g, nil // every member trivially untestable
-	}
-	subIDs := c.TransitiveFanin(allFO...)
-
-	b := logic.NewBuilder(fmt.Sprintf("%s_region_%d", c.Name, members[0].Net))
-	for _, id := range subIDs {
+// loadGood resets inc to the fault-free CIRCUIT-SAT consistency
+// formula of c, written straight from the netlist through the reusable
+// writer w: one variable per parent node (variable = node ID), the
+// Figure 2 gate clauses, unit clauses for constant drivers and no
+// output clause. The branching priority is every primary input in input
+// order, so each fault's first model is the lex-least detecting vector
+// over all inputs — the inputs outside a fault's support are
+// unconstrained and come out false, exactly as a single-fault miter
+// leaves them.
+func loadGood(inc *sat.Incremental, c *logic.Circuit, w *cnf.ClauseWriter) error {
+	w.Reset()
+	var in []cnf.Lit
+	for id := range c.Nodes {
 		n := &c.Nodes[id]
 		switch n.Type {
 		case logic.Input:
-			g.GoodOf[id] = b.Input(n.Name)
 		case logic.Const0:
-			g.GoodOf[id] = b.Const(n.Name, false)
+			w.Add(cnf.NewLit(id, true))
 		case logic.Const1:
-			g.GoodOf[id] = b.Const(n.Name, true)
+			w.Add(cnf.NewLit(id, false))
 		default:
-			fanin := make([]int, len(n.Fanin))
+			in = in[:0]
 			for i, fi := range n.Fanin {
-				fanin[i] = g.GoodOf[fi]
+				in = append(in, cnf.NewLit(fi, n.Negated(i)))
 			}
-			g.GoodOf[id] = b.GateN(n.Type, n.Name, fanin, n.Neg)
+			if err := cnf.EmitGate(w, n.Type, id, in); err != nil {
+				return fmt.Errorf("gate %q: %w", n.Name, err)
+			}
 		}
 	}
+	inc.Reset(c.NumNodes(), c.Inputs)
+	inc.AddClauses(w)
+	return nil
+}
 
-	// Per-member faulty cones and XOR difference nets, exactly as in
-	// NewMiter but with a member-unique name suffix and without
-	// marking outputs: activation and observability are per-member
-	// clauses added by EncodeWith, gated behind the member's selector.
-	g.xorsOf = make([][]int, len(members))
-	faultyOf := make([]int, c.NumNodes())
-	for k, f := range members {
-		if g.Unobservable[k] {
+// incMiter is Miter for the persistent incremental instance: it writes
+// one fault's ATPG clauses straight into a sat.Incremental that already
+// holds the parent circuit's fault-free copy (loadGood). Over fresh
+// variables above the parent's node count it adds
+//
+//   - a faulty copy of the fault's transitive fanout, with the fault net
+//     fixed to its stuck value and every other fanin read from the
+//     faulty copy inside the cone and from the good copy outside it;
+//   - one XOR per observable output, good copy against faulty copy;
+//   - a selector s and the gated clauses ¬s ∨ activation (the good fault
+//     net carries the complement of the stuck value) and
+//     ¬s ∨ xor_1 ∨ … (some output differs).
+//
+// The faulty cone and XORs only define fresh variables and the gated
+// clauses are satisfied by ¬s, so the fault's clauses are a
+// conservative extension of the good circuit: the engine retires them
+// after the solve and keeps every clause learned over good variables
+// (see sat.Incremental). Solving under the assumption s is solving the
+// fault's own miter. Faults are written one at a time, not a region
+// group at once: every variable of the encoding is a function of the
+// inputs, so each solve would propagate every co-resident fault's cone,
+// and since one fault's learned clauses over its own faulty or selector
+// variables never help another fault, a second resident fault costs
+// propagation and buys nothing.
+//
+// An incMiter's buffers are reused across faults; it must not be used
+// concurrently.
+type incMiter struct {
+	c      *logic.Circuit
+	f      Fault
+	sel    int     // selector variable of the last encode
+	cone   []int32 // the fault's transitive fanout
+	visit  []uint32
+	epoch  uint32  // visit[id] == epoch marks id as in the cone
+	faulty []int32 // faulty-copy variable of a node in the cone
+	stack  []int32
+	in     []cnf.Lit
+	obs    []cnf.Lit
+	w      cnf.ClauseWriter
+}
+
+// prepare computes fault f's transitive fanout on circuit c and reports
+// whether it reaches a primary output; an unobservable fault is
+// trivially untestable and has nothing to encode.
+func (m *incMiter) prepare(c *logic.Circuit, f Fault) (bool, error) {
+	if f.Net < 0 || f.Net >= c.NumNodes() {
+		return false, fmt.Errorf("atpg: fault net %d out of range", f.Net)
+	}
+	m.c, m.f = c, f
+	if len(m.visit) != c.NumNodes() {
+		m.visit = make([]uint32, c.NumNodes())
+		m.faulty = make([]int32, c.NumNodes())
+		m.epoch = 0
+	}
+	m.epoch++
+	if m.epoch == 0 {
+		// The stamp wrapped: clear it so a stale stamp cannot alias.
+		clear(m.visit)
+		m.epoch = 1
+	}
+	m.visit[f.Net] = m.epoch
+	m.stack = append(m.stack[:0], int32(f.Net))
+	m.cone = m.cone[:0]
+	observable := false
+	for len(m.stack) > 0 {
+		id := m.stack[len(m.stack)-1]
+		m.stack = m.stack[:len(m.stack)-1]
+		m.cone = append(m.cone, id)
+		observable = observable || c.IsOutput(int(id))
+		for _, fo := range c.Nodes[id].Fanout {
+			if m.visit[fo] != m.epoch {
+				m.visit[fo] = m.epoch
+				m.stack = append(m.stack, int32(fo))
+			}
+		}
+	}
+	return observable, nil
+}
+
+// encode writes the prepared fault's clauses into inc, which must hold
+// the good circuit of the c given to prepare.
+func (m *incMiter) encode(inc *sat.Incremental) error {
+	c, f := m.c, m.f
+	base := inc.AddVars(len(m.cone))
+	nObs := 0
+	for j, id := range m.cone {
+		m.faulty[id] = int32(base + j)
+		if c.IsOutput(int(id)) {
+			nObs++
+		}
+	}
+	x := inc.AddVars(nObs)
+	m.sel = inc.AddVars(1)
+	w := &m.w
+	w.Reset()
+	for _, id := range m.cone {
+		fv := int(m.faulty[id])
+		if int(id) == f.Net {
+			w.Add(cnf.NewLit(fv, !f.StuckAt))
 			continue
 		}
-		inFO := make([]bool, c.NumNodes())
-		for _, id := range foLists[k] {
-			inFO[id] = true
-			faultyOf[id] = -1
-		}
-		suffix := fmt.Sprintf("~f%d", k)
-		for _, id := range foLists[k] {
-			n := &c.Nodes[id]
-			if id == f.Net {
-				faultyOf[id] = b.Const(n.Name+suffix, f.StuckAt)
-				continue
+		n := &c.Nodes[id]
+		m.in = m.in[:0]
+		for i, fi := range n.Fanin {
+			v := fi
+			if m.visit[fi] == m.epoch {
+				v = int(m.faulty[fi])
 			}
-			fanin := make([]int, len(n.Fanin))
-			for i, fi := range n.Fanin {
-				if inFO[fi] {
-					fanin[i] = faultyOf[fi]
-				} else {
-					fanin[i] = g.GoodOf[fi]
-				}
-			}
-			faultyOf[id] = b.GateN(n.Type, n.Name+suffix, fanin, n.Neg)
+			m.in = append(m.in, cnf.NewLit(v, n.Negated(i)))
 		}
-		g.GoodFault[k] = g.GoodOf[f.Net]
-		for _, o := range observable[k] {
-			x := b.Gate(logic.Xor, c.Nodes[o].Name+suffix+"~xor", g.GoodOf[o], faultyOf[o])
-			g.xorsOf[k] = append(g.xorsOf[k], x)
+		if err := cnf.EmitGate(w, n.Type, fv, m.in); err != nil {
+			return fmt.Errorf("gate %q: %w", n.Name, err)
 		}
 	}
-	mc, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	g.Circuit = mc
-	for _, in := range c.Inputs {
-		if mid := g.GoodOf[in]; mid >= 0 {
-			g.Priority = append(g.Priority, mid)
-		}
-	}
-	return g, nil
-}
-
-// EncodeWith encodes the region circuit through a reusable encoder and
-// appends the gated per-member clauses: for each observable member k
-// with selector s_k,
-//
-//	¬s_k ∨ activation_k   (good fault net carries the complement of the stuck value)
-//	¬s_k ∨ xor_k,1 ∨ …    (some observable output pair differs)
-//
-// Assuming s_k (and ¬s_j for the other members) therefore reduces the
-// formula to member k's single-fault ATPG instance. The result aliases
-// encoder buffers and is valid only until the encoder's next Encode —
-// the incremental solver's Load copies it.
-func (g *GroupMiter) EncodeWith(enc *cnf.Encoder) (*cnf.Formula, error) {
-	f, err := enc.Encode(g.Circuit, nil)
-	if err != nil {
-		return nil, err
-	}
-	next := f.NumVars
-	for k := range g.Faults {
-		if g.Unobservable[k] {
+	notSel := cnf.NewLit(m.sel, true)
+	m.obs = append(m.obs[:0], notSel)
+	for _, id := range m.cone {
+		if !c.IsOutput(int(id)) {
 			continue
 		}
-		g.selVar[k] = next
-		next++
-		sel := cnf.NewLit(g.selVar[k], true) // ¬s_k
-		f.AddClause(sel, cnf.NewLit(g.GoodFault[k], g.Faults[k].StuckAt))
-		obs := make([]cnf.Lit, 0, len(g.xorsOf[k])+1)
-		obs = append(obs, sel)
-		for _, x := range g.xorsOf[k] {
-			obs = append(obs, cnf.NewLit(x, false))
+		m.in = append(m.in[:0], cnf.NewLit(int(id), false), cnf.NewLit(int(m.faulty[id]), false))
+		if err := cnf.EmitGate(w, logic.Xor, x, m.in); err != nil {
+			return err
 		}
-		f.AddClause(obs...)
+		m.obs = append(m.obs, cnf.NewLit(x, false))
+		x++
 	}
-	return f, nil
+	w.Add(notSel, cnf.NewLit(f.Net, f.StuckAt))
+	w.Add(m.obs...)
+	inc.AddClauses(w)
+	return nil
 }
 
-// Assumptions appends member k's assumption literals to buf: its own
-// selector asserted, every other member's selector negated — the
-// negations keep the solver from wandering into other members'
-// activation clauses, and make UNSAT mean exactly "member k is
-// untestable".
-func (g *GroupMiter) Assumptions(k int, buf []cnf.Lit) []cnf.Lit {
-	buf = buf[:0]
-	buf = append(buf, cnf.NewLit(g.selVar[k], false))
-	for j := range g.Faults {
-		if j != k && g.selVar[j] >= 0 {
-			buf = append(buf, cnf.NewLit(g.selVar[j], true))
-		}
-	}
-	return buf
-}
+// assumption is the literal enabling the encoded fault: its selector.
+func (m *incMiter) assumption() cnf.Lit { return cnf.NewLit(m.sel, false) }
 
-// ExtractTest converts a satisfying model under member k's assumptions
-// into a test vector over the parent circuit's primary inputs. Inputs
-// outside the region are don't-cares returned as false — and because
-// the solver branches lex-first over Priority, inputs inside the
-// region but irrelevant to member k come out false too, making the
-// vector identical to the one a fresh single-fault solve extracts.
-func (g *GroupMiter) ExtractTest(c *logic.Circuit, model []bool) []bool {
+// extractTest converts a satisfying model into a test vector over the
+// parent circuit's primary inputs (variable = node ID). Because the
+// solver branches lex-first over every input, the inputs irrelevant to
+// the fault come out false, making the vector identical to the one a
+// fresh single-fault solve extracts.
+func extractTest(c *logic.Circuit, model []bool) []bool {
 	vec := make([]bool, len(c.Inputs))
 	for i, in := range c.Inputs {
-		if mid := g.GoodOf[in]; mid >= 0 {
-			vec[i] = model[mid]
-		}
+		vec[i] = model[in]
 	}
 	return vec
 }

@@ -2,6 +2,9 @@ package atpg
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -97,116 +100,110 @@ func TestBuildGroupsCanonicalOrder(t *testing.T) {
 	}
 }
 
-// TestGroupMiterMatchesMiter solves every fault of every region group
-// through the group encoding under assumptions on one incremental
-// instance, and requires member-by-member agreement with the fresh
-// single-fault miter: same verdict, and a group-extracted vector that
-// detects the fault and is byte-identical to the fresh one.
-func TestGroupMiterMatchesMiter(t *testing.T) {
-	for name, c := range regionTestCircuits() {
+// TestIncMiterMatchesMiter solves every fault, in group dispatch order,
+// through incMiter on one persistent instance — the good circuit loaded
+// once, each fault appended, solved under its selector and retired, as
+// a worker does — and requires agreement with the fresh single-fault
+// Miter: same verdict, and a vector that detects the fault and is
+// byte-identical to the one a cold instance holding only that fault
+// extracts. After each Retire the instance is back to the circuit's
+// variables.
+func TestIncMiterMatchesMiter(t *testing.T) {
+	for name, c := range equivalenceCircuits() {
 		faults := Collapse(c, AllFaults(c))
-		order, groups := buildGroups(c, faults, nil, DefaultGroupMax)
+		order, _ := buildGroups(c, faults, nil, DefaultGroupMax)
 		eng := &Engine{}
-		fresh := make(map[int]Result, len(faults))
-		for _, idx := range order {
-			res, err := eng.TestFault(c, faults[idx])
-			if err != nil {
-				t.Fatalf("%s: fresh %s: %v", name, faults[idx].Name(c), err)
-			}
-			fresh[int(idx)] = res
+		warm := sat.NewIncremental()
+		if err := loadGood(warm, c, new(cnf.ClauseWriter)); err != nil {
+			t.Fatal(err)
 		}
-		// The fresh baseline for vectors must come from the same lex-first
-		// branching; re-solve each fault alone on the incremental path.
-		freshVec := make(map[int][]bool, len(faults))
+		mark := warm.Mark()
+		var m incMiter
 		for _, idx := range order {
-			gm, err := NewGroupMiter(c, []Fault{faults[idx]})
+			f := faults[idx]
+			want, err := eng.TestFault(c, f)
 			if err != nil {
-				t.Fatalf("%s: solo GroupMiter: %v", name, err)
+				t.Fatalf("%s: fresh %s: %v", name, f.Name(c), err)
 			}
-			if gm.Unobservable[0] {
+			observable, err := m.prepare(c, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !observable {
+				if want.Status != Untestable {
+					t.Fatalf("%s: %s unobservable but %v fresh", name, f.Name(c), want.Status)
+				}
 				continue
 			}
-			f, err := gm.EncodeWith(new(cnf.Encoder))
-			if err != nil {
-				t.Fatalf("%s: solo encode: %v", name, err)
+			// The cold reference: a fresh instance holding only this fault.
+			cold := sat.NewIncremental()
+			if err := loadGood(cold, c, new(cnf.ClauseWriter)); err != nil {
+				t.Fatal(err)
 			}
-			inc := sat.NewIncremental()
-			inc.Load(f, gm.Priority)
-			sol := inc.SolveAssuming(gm.Assumptions(0, nil), sat.Limits{})
-			if sol.Status == sat.Sat {
-				freshVec[int(idx)] = gm.ExtractTest(c, sol.Model)
+			if err := m.encode(cold); err != nil {
+				t.Fatal(err)
 			}
-		}
-		for _, g := range groups {
-			members := make([]Fault, 0, g.end-g.start)
-			for _, idx := range order[g.start:g.end] {
-				members = append(members, faults[idx])
+			ref := cold.SolveAssuming([]cnf.Lit{m.assumption()}, sat.Limits{})
+
+			if err := m.encode(warm); err != nil {
+				t.Fatalf("%s: encode: %v", name, err)
 			}
-			gm, err := NewGroupMiter(c, members)
-			if err != nil {
-				t.Fatalf("%s: NewGroupMiter: %v", name, err)
+			sol := warm.SolveAssuming([]cnf.Lit{m.assumption()}, sat.Limits{})
+			warm.Retire(mark)
+			if warm.NumVars() != c.NumNodes() {
+				t.Fatalf("%s: %d variables after Retire, want the circuit's %d", name, warm.NumVars(), c.NumNodes())
 			}
-			var inc *sat.Incremental
-			if gm.Circuit != nil {
-				f, err := gm.EncodeWith(new(cnf.Encoder))
-				if err != nil {
-					t.Fatalf("%s: EncodeWith: %v", name, err)
+			if sol.Status != ref.Status {
+				t.Fatalf("%s: %s: warm %v, cold %v", name, f.Name(c), sol.Status, ref.Status)
+			}
+			switch sol.Status {
+			case sat.Sat:
+				if want.Status != Detected {
+					t.Fatalf("%s: %s SAT on the instance, %v fresh", name, f.Name(c), want.Status)
 				}
-				inc = sat.NewIncremental()
-				inc.Load(f, gm.Priority)
-			}
-			for k := range members {
-				i := int(order[int(g.start)+k])
-				want := fresh[i]
-				if gm.Unobservable[k] {
-					if want.Status != Untestable {
-						t.Fatalf("%s: %s unobservable in group but %v fresh",
-							name, members[k].Name(c), want.Status)
-					}
-					continue
+				vec, solo := extractTest(c, sol.Model), extractTest(c, ref.Model)
+				if !VerifyTest(c, f, vec) {
+					t.Fatalf("%s: vector for %s does not detect it", name, f.Name(c))
 				}
-				sol := inc.SolveAssuming(gm.Assumptions(k, nil), sat.Limits{})
-				switch sol.Status {
-				case sat.Sat:
-					if want.Status != Detected {
-						t.Fatalf("%s: %s SAT in group, %v fresh", name, members[k].Name(c), want.Status)
+				for b := range vec {
+					if vec[b] != solo[b] {
+						t.Fatalf("%s: %s warm vector %v differs from cold %v", name, f.Name(c), vec, solo)
 					}
-					vec := gm.ExtractTest(c, sol.Model)
-					if !VerifyTest(c, members[k], vec) {
-						t.Fatalf("%s: group vector for %s does not detect it", name, members[k].Name(c))
-					}
-					solo := freshVec[i]
-					for b := range vec {
-						if vec[b] != solo[b] {
-							t.Fatalf("%s: %s group vector %v differs from solo %v",
-								name, members[k].Name(c), vec, solo)
-						}
-					}
-				case sat.Unsat:
-					if want.Status != Untestable {
-						t.Fatalf("%s: %s UNSAT in group, %v fresh", name, members[k].Name(c), want.Status)
-					}
-					if inc.Failed() {
-						t.Fatalf("%s: per-member UNSAT latched global Failed", name)
-					}
-				default:
-					t.Fatalf("%s: group solve of %s returned %v", name, members[k].Name(c), sol.Status)
 				}
+			case sat.Unsat:
+				if want.Status != Untestable {
+					t.Fatalf("%s: %s UNSAT on the instance, %v fresh", name, f.Name(c), want.Status)
+				}
+				if warm.Failed() {
+					t.Fatalf("%s: UNSAT under the selector latched global Failed", name)
+				}
+			default:
+				t.Fatalf("%s: solve of %s returned %v", name, f.Name(c), sol.Status)
 			}
 		}
 	}
 }
 
+// incrementalOptions is the equivalence harness's option set: full
+// TEGUS options (collapse, dropping, and the RPT pre-phase when rpt is
+// set — without it the solver produces every vector).
+func incrementalOptions(groupMax int, rpt bool) RunOptions {
+	opt := RunOptions{
+		Collapse: true, DropDetected: true, Seed: 42,
+		Incremental: true, GroupMax: groupMax,
+	}
+	if rpt {
+		opt.RPTBatches = DefaultRPTBatches
+	}
+	return opt
+}
+
 // runIncremental is the equivalence harness: one incremental run with
-// the given group cap and worker count, full TEGUS options.
-func runIncremental(t *testing.T, c *logic.Circuit, groupMax, workers int) *Summary {
+// the given group cap and worker count.
+func runIncremental(t *testing.T, c *logic.Circuit, groupMax, workers int, rpt bool) *Summary {
 	t.Helper()
 	eng := &Engine{VerifyTests: true, Workers: workers}
-	sum, err := eng.Run(context.Background(), c, RunOptions{
-		Collapse: true, DropDetected: true,
-		RPTBatches: DefaultRPTBatches, Seed: 42,
-		Incremental: true, GroupMax: groupMax,
-	})
+	sum, err := eng.Run(context.Background(), c, incrementalOptions(groupMax, rpt))
 	if err != nil {
 		t.Fatalf("incremental run (groupMax=%d, workers=%d): %v", groupMax, workers, err)
 	}
@@ -261,26 +258,128 @@ func sameSummaries(t *testing.T, name string, a, b *Summary) {
 	}
 }
 
-// TestIncrementalEquivalence is the PR's acceptance property: region-
-// grouped incremental solving must produce byte-identical vectors and
-// summaries to fresh-per-fault solving (GroupMax 1 — a cold instance
-// per fault on the same lex-first path) at any worker count, under the
-// full TEGUS flow (collapse, RPT pre-phase, fault dropping).
+// edgeCircuit builds a random netlist of the shapes the direct
+// encoder must get right: constant drivers, XOR/XNOR gates, inverted
+// inputs, and gates that read one net twice (AND(a,a)). Nets nobody
+// reads become outputs, and a few more are marked at random.
+func edgeCircuit(seed int64) *logic.Circuit {
+	rng := rand.New(rand.NewSource(seed))
+	b := logic.NewBuilder(fmt.Sprintf("edge%d", seed))
+	var nets []int
+	for i := 0; i < 7; i++ {
+		nets = append(nets, b.Input(fmt.Sprintf("i%d", i)))
+	}
+	nets = append(nets, b.Const("k0", false), b.Const("k1", true))
+	types := []logic.GateType{logic.And, logic.Or, logic.Nand, logic.Nor, logic.Xor, logic.Xnor, logic.Not, logic.Buf}
+	read := map[int]bool{}
+	for g := 0; g < 45; g++ {
+		t := types[rng.Intn(len(types))]
+		k := 2 + rng.Intn(2)
+		if t == logic.Not || t == logic.Buf {
+			k = 1
+		}
+		fanin := make([]int, k)
+		neg := make([]bool, k)
+		for i := range fanin {
+			if i > 0 && rng.Intn(5) == 0 {
+				fanin[i] = fanin[i-1] // duplicate fanin
+			} else {
+				lo := len(nets) - 12
+				if lo < 0 {
+					lo = 0
+				}
+				fanin[i] = nets[lo+rng.Intn(len(nets)-lo)]
+			}
+			neg[i] = rng.Intn(4) == 0
+			read[fanin[i]] = true
+		}
+		nets = append(nets, b.GateN(t, fmt.Sprintf("g%d", g), fanin, neg))
+	}
+	for _, n := range nets[9:] {
+		if !read[n] || rng.Intn(8) == 0 {
+			b.MarkOutput(n)
+		}
+	}
+	return b.MustBuild()
+}
+
+// equivalenceCircuits is regionTestCircuits plus the edge-case netlists.
+func equivalenceCircuits() map[string]*logic.Circuit {
+	cs := regionTestCircuits()
+	cs["edge1"] = edgeCircuit(1)
+	cs["edge2"] = edgeCircuit(2)
+	cs["parity"] = gen.ParityTree(9)
+	return cs
+}
+
+// atLeastTwoProcs raises GOMAXPROCS to 2 for the rest of the test when
+// the host would run it on one, so multi-worker runs really interleave.
+func atLeastTwoProcs(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+}
+
+// TestIncrementalEquivalence is the incremental path's acceptance
+// property: solving region groups on a worker's persistent instance —
+// good circuit loaded once, groups appended and retired — must produce
+// byte-identical vectors and summaries to a cold instance per fault
+// (no scratch reuse, one worker) at every worker count
+// and group cap, under the TEGUS flow (collapse, fault dropping) with
+// and without the RPT pre-phase.
 func TestIncrementalEquivalence(t *testing.T) {
-	for name, c := range regionTestCircuits() {
-		ref := runIncremental(t, c, 1, 1)
-		for _, cfg := range []struct {
-			groupMax, workers int
-		}{
-			{1, 4},
-			{DefaultGroupMax, 1},
-			{DefaultGroupMax, 4},
-			{3, 2},
-		} {
-			got := runIncremental(t, c, cfg.groupMax, cfg.workers)
-			label := name + "/" +
-				"max" + itoa(cfg.groupMax) + "w" + itoa(cfg.workers)
-			sameSummaries(t, label, ref, got)
+	atLeastTwoProcs(t)
+	for name, c := range equivalenceCircuits() {
+		for _, rpt := range []bool{true, false} {
+			label := name + "/rpt"
+			if !rpt {
+				label = name + "/nopre"
+			}
+			cold := &Engine{VerifyTests: true, Workers: 1, DisableScratchReuse: true}
+			ref, err := cold.Run(context.Background(), c, incrementalOptions(1, rpt))
+			if err != nil {
+				t.Fatalf("%s: cold reference: %v", label, err)
+			}
+			for _, groupMax := range []int{1, DefaultGroupMax} {
+				for _, workers := range []int{1, 2, 4} {
+					got := runIncremental(t, c, groupMax, workers, rpt)
+					sameSummaries(t, label+"/max"+itoa(groupMax)+"w"+itoa(workers), ref, got)
+				}
+			}
+			got := runIncremental(t, c, 3, 2, rpt)
+			sameSummaries(t, label+"/max3w2", ref, got)
+		}
+	}
+}
+
+// TestIncrementalVerdictsMatchFresh requires every fault's verdict on
+// the persistent incremental path to equal the fresh-per-fault DPLL
+// path's (Incremental: false). Without RPT and dropping every fault
+// reaches the solver on both paths. Vectors are not compared: the fresh
+// solver branches by activity, not lex-first, so it may pick another
+// detecting vector.
+func TestIncrementalVerdictsMatchFresh(t *testing.T) {
+	atLeastTwoProcs(t)
+	for name, c := range equivalenceCircuits() {
+		faults := Collapse(c, AllFaults(c))
+		eng := &Engine{VerifyTests: true, Workers: 2}
+		fresh, err := eng.RunFaults(context.Background(), c, faults, RunOptions{})
+		if err != nil {
+			t.Fatalf("%s: fresh: %v", name, err)
+		}
+		inc, err := eng.RunFaults(context.Background(), c, faults, RunOptions{Incremental: true})
+		if err != nil {
+			t.Fatalf("%s: incremental: %v", name, err)
+		}
+		if len(fresh.Results) != len(inc.Results) {
+			t.Fatalf("%s: %d fresh results, %d incremental", name, len(fresh.Results), len(inc.Results))
+		}
+		for i := range fresh.Results {
+			a, b := fresh.Results[i], inc.Results[i]
+			if a.Fault != b.Fault || a.Status != b.Status {
+				t.Fatalf("%s: result %d: fresh %v %v, incremental %v %v", name, i, a.Fault, a.Status, b.Fault, b.Status)
+			}
 		}
 	}
 }
@@ -419,7 +518,7 @@ func TestIncrementalPanicIsolation(t *testing.T) {
 // recover them, matching the unlimited incremental run's verdicts.
 func TestIncrementalRetryTiers(t *testing.T) {
 	c := gen.ArrayMultiplier(3)
-	ref := runIncremental(t, c, DefaultGroupMax, 2)
+	ref := runIncremental(t, c, DefaultGroupMax, 2, true)
 	eng := &Engine{VerifyTests: true, Workers: 2}
 	sum, err := eng.Run(context.Background(), c, RunOptions{
 		Collapse: true, DropDetected: true,
@@ -441,6 +540,104 @@ func TestIncrementalRetryTiers(t *testing.T) {
 			sum.Detected, sum.DroppedByFaultSim, sum.Untestable,
 			ref.Detected, ref.DroppedByFaultSim, ref.Untestable)
 	}
+}
+
+// sameResultsExcept requires got's per-fault statuses and vectors to
+// equal ref's, in order, skipping results with status skip.
+func sameResultsExcept(t *testing.T, label string, ref, got *Summary, skip Status) {
+	t.Helper()
+	if len(ref.Results) != len(got.Results) {
+		t.Fatalf("%s: %d results, reference %d", label, len(got.Results), len(ref.Results))
+	}
+	for i := range ref.Results {
+		a, b := ref.Results[i], got.Results[i]
+		if a.Fault != b.Fault {
+			t.Fatalf("%s: result %d is fault %v, reference %v", label, i, b.Fault, a.Fault)
+		}
+		if b.Status == skip {
+			continue
+		}
+		if a.Status != b.Status {
+			t.Fatalf("%s: fault %v: %v, reference %v", label, a.Fault, b.Status, a.Status)
+		}
+		for j := range a.Vector {
+			if a.Vector[j] != b.Vector[j] {
+				t.Fatalf("%s: fault %v: vector %v, reference %v", label, a.Fault, b.Vector, a.Vector)
+			}
+		}
+	}
+}
+
+// TestIncrementalRetryTiersTightBudget gives every main-sweep solve a
+// 1 ns budget, so each one aborts on entry, and lets the retry tiers —
+// re-grouped by region, solved on the same persistent instances the
+// sweep retired its groups from — decide every fault. Each verdict and
+// vector must equal an unbudgeted run's.
+func TestIncrementalRetryTiersTightBudget(t *testing.T) {
+	atLeastTwoProcs(t)
+	for _, name := range []string{"rand", "edge1"} {
+		c := equivalenceCircuits()[name]
+		faults := Collapse(c, AllFaults(c))
+		for _, workers := range []int{1, 2} {
+			eng := &Engine{VerifyTests: true, Workers: workers}
+			ref, err := eng.RunFaults(context.Background(), c, faults, RunOptions{Incremental: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum, err := eng.RunFaults(context.Background(), c, faults, RunOptions{
+				Incremental:    true,
+				PerFaultBudget: time.Nanosecond,
+				RetryTiers:     3,
+				RetryBackoff:   1e7, // tier 1: 10 ms per fault
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := name + "/w" + itoa(workers)
+			if len(sum.Retries) == 0 || sum.Retries[0].Attempted == 0 {
+				t.Fatalf("%s: the 1 ns sweep left nothing to retry: %+v", label, sum.Retries)
+			}
+			if sum.Aborted > 0 {
+				t.Fatalf("%s: %d faults still aborted after a 10 ms retry tier", label, sum.Aborted)
+			}
+			sameResultsExcept(t, label, ref, sum, -1)
+		}
+	}
+}
+
+// TestIncrementalPanicReloadsGoodCircuit panics inside one region
+// group on a single worker. The worker's arena — and with it the
+// instance holding the good circuit — is replaced, so every later group
+// must reload the circuit into the new instance: apart from the Errored
+// members of the victim's group, every verdict and vector must equal an
+// unfaulted run's.
+func TestIncrementalPanicReloadsGoodCircuit(t *testing.T) {
+	c := equivalenceCircuits()["rand"]
+	faults := Collapse(c, AllFaults(c))
+	ref, err := (&Engine{VerifyTests: true, Workers: 1}).RunFaults(context.Background(), c, faults, RunOptions{Incremental: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	order, groups := buildGroups(c, faults, nil, DefaultGroupMax)
+	victim := faults[order[groups[0].start]]
+	eng := &Engine{VerifyTests: true, Workers: 1}
+	eng.testHookPanic = func(f Fault) {
+		if f == victim {
+			panic("injected good-circuit loss")
+		}
+	}
+	sum, err := eng.RunFaults(context.Background(), c, faults, RunOptions{Incremental: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Errors == 0 || sum.Errors > int(groups[0].end-groups[0].start) {
+		t.Fatalf("%d Errored results; want the first group's %d members at most and at least one",
+			sum.Errors, groups[0].end-groups[0].start)
+	}
+	if len(groups) < 2 {
+		t.Fatal("circuit has one region group: nothing runs after the panic")
+	}
+	sameResultsExcept(t, "after-panic", ref, sum, Errored)
 }
 
 // TestIncrementalTelemetryCounters checks the new counters flow: a

@@ -123,13 +123,8 @@ func (e *Engine) safeSolve(f Fault, ws *workerScratch, solve func() (Result, err
 				// The panic may have left the scratch arena mid-solve; a
 				// fresh one costs a few allocations on a path taken at most
 				// once per faulty cone, and guarantees the next fault starts
-				// from clean state. A sticky watchdog cap carries over.
-				prevCap := ws.arena.CacheCap()
-				ws.arena = sat.NewArena()
-				if prevCap > 0 {
-					for ws.arena.Shrink() > prevCap {
-					}
-				}
+				// from clean state. Sticky watchdog caps carry over.
+				ws.replaceArena()
 			}
 		}
 	}()

@@ -25,7 +25,6 @@ package atpg
 // count.
 
 import (
-	"sort"
 	"sync"
 
 	"atpgeasy/internal/hypergraph"
@@ -79,9 +78,9 @@ const (
 	routeHardWidth = 24
 	routeHardGates = 2048
 	// routeStructuralGates: up to this sub-circuit size PODEM's
-	// event-driven search beats CNF translation even on wide cones
-	// (measured on mult16, whose ~1.4k-gate sub-circuits it decides in
-	// ~0.8ms against the incremental backend's ~1.4ms) — and the
+	// event-driven search is on par with the persistent CDCL instance
+	// even on wide cones (mult16's ~1.4k-gate sub-circuits: about
+	// 0.2 ms a fault either way) while avoiding its conflicts — and the
 	// deterministic backtrack cap bounds the cost of any misprediction.
 	// Past it, width decides: narrow cones stay structural, wide ones
 	// escalate to the grouped CDCL backend.
@@ -91,8 +90,11 @@ const (
 // DefaultRouteWidthMax is the sub-circuit node count above which the
 // router never refines its cut-width estimate with the MLA layout
 // heuristic and keeps the topological-order upper bound instead —
-// O(pins) — bounding the routing cost per fault.
-const DefaultRouteWidthMax = 128
+// O(pins) — bounding the routing cost per fault. At 128 the layout
+// searches on rand200's ambiguous cones took about 70 ms per run on a
+// 2-vCPU host, longer than the whole unrouted run (about 60 ms), and
+// moved only eight faults to the caching backend.
+const DefaultRouteWidthMax = 32
 
 // DefaultRouteHardScale scales PerFaultBudget for ClassHard faults.
 const DefaultRouteHardScale = 4.0
@@ -102,8 +104,12 @@ const DefaultRouteHardScale = 4.0
 // Deliberately tight: most structural detections land in a handful of
 // backtracks (the paper's easiness, seen from the circuit side), and a
 // fault that thrashes past the cap is decided faster by handing the
-// remainder to CDCL than by letting PODEM exhaust the cone.
-const DefaultPodemMaxBacktracks = 128
+// remainder to CDCL than by letting PODEM exhaust the cone. With the
+// good circuit resident in the worker's CDCL instance a fallback costs
+// about a quarter of a millisecond, so on BenchmarkRoutedPortfolio's
+// circuits a cap of 8–32 backtracks is fastest and 128 gave back the
+// whole routing gain (mult16 and rand200 both slower than unrouted).
+const DefaultPodemMaxBacktracks = 16
 
 // widthEstimator computes a fault's cut-width estimate with reused
 // mark/stack buffers, one instance per routing shard. The base estimate
@@ -141,19 +147,31 @@ func newWidthEstimator(c *logic.Circuit) *widthEstimator {
 // SubCircuit path measured: the identity(topological)-order cut-width of
 // the fanin of the fault's fanout cone.
 func (x *widthEstimator) estimate(f Fault, widthMax int) int32 {
+	x.walk(f)
+	return x.width(f, widthMax)
+}
+
+// walk collects the fault's sub-circuit — its fanout cone, then the
+// fanin closure over it, the structure the miter is built from (same
+// walk as featureExtractor.extract) — into x.sub in ascending ID order
+// and returns its gate count (FaultFeatures.Gates). The walk only marks;
+// the ascending list is read off the mark array between the lowest and
+// highest marked IDs, which is cheaper than sorting the visit order on
+// the cones routing sees.
+func (x *widthEstimator) walk(f Fault) (gates int32) {
 	c := x.c
-	// Fanout cone, then the fanin closure over it — the sub-circuit the
-	// miter is built from (same walk as featureExtractor.extract).
 	x.stamp++
-	x.sub = append(x.sub[:0], f.Net)
 	x.mark[f.Net] = x.stamp
+	lo, hi := f.Net, f.Net
 	x.stack = append(x.stack[:0], f.Net)
+	x.sub = append(x.sub[:0], f.Net) // the fanout cone, seeding the fanin walk
 	for len(x.stack) > 0 {
 		n := x.stack[len(x.stack)-1]
 		x.stack = x.stack[:len(x.stack)-1]
 		for _, o := range c.Nodes[n].Fanout {
 			if x.mark[o] != x.stamp {
 				x.mark[o] = x.stamp
+				hi = max(hi, o)
 				x.sub = append(x.sub, o)
 				x.stack = append(x.stack, o)
 			}
@@ -169,14 +187,26 @@ func (x *widthEstimator) estimate(f Fault, widthMax int) int32 {
 			continue
 		}
 		x.mark[n] = x.stamp
-		x.sub = append(x.sub, n)
+		lo = min(lo, n)
 		x.stack = append(x.stack, c.Nodes[n].Fanin...)
 	}
-	sort.Ints(x.sub)
-	for p, id := range x.sub {
-		x.pos[id] = int32(p)
+	x.sub = x.sub[:0]
+	for id := lo; id <= hi; id++ {
+		if x.mark[id] == x.stamp {
+			x.pos[id] = int32(len(x.sub))
+			x.sub = append(x.sub, id)
+			if c.Nodes[id].Type >= logic.Buf {
+				gates++
+			}
+		}
 	}
+	return gates
+}
 
+// width computes the cut-width estimate of the sub-circuit the last walk
+// (of fault f) collected.
+func (x *widthEstimator) width(f Fault, widthMax int) int32 {
+	c := x.c
 	// Cut profile of the topological arrangement: each driver net spans
 	// from its own position to its furthest in-sub consumer (consumers
 	// have higher IDs, so the driver is the span's left end). The cut
@@ -226,23 +256,24 @@ func (x *widthEstimator) estimate(f Fault, widthMax int) int32 {
 // widthNeeded reports whether classification actually depends on the
 // width estimate: gate count alone decides the trivial and oversized
 // classes, so their faults skip the sub-circuit walk entirely.
-func widthNeeded(ft FaultFeatures) bool {
-	return ft.Gates > routeTrivialGates && ft.Gates < routeHardGates
+func widthNeeded(gates int32) bool {
+	return gates > routeTrivialGates && gates < routeHardGates
 }
 
-// classifyFault maps one fault's features and width estimate to a class.
-// Pure function of structure — scheduling never feeds back into it.
-func classifyFault(ft FaultFeatures, width int32) EffortClass {
-	if ft.Gates <= routeTrivialGates {
+// classifyFault maps one fault's sub-circuit gate count and width
+// estimate to a class. Pure function of structure — scheduling never
+// feeds back into it.
+func classifyFault(gates, width int32) EffortClass {
+	if gates <= routeTrivialGates {
 		return ClassTrivial
 	}
-	if ft.Gates >= routeHardGates {
+	if gates >= routeHardGates {
 		return ClassHard
 	}
 	if width >= 0 && width <= routeLowWidth {
 		return ClassLowWidth
 	}
-	if ft.Gates <= routeStructuralGates {
+	if gates <= routeStructuralGates {
 		return ClassStructural
 	}
 	if width >= routeHardWidth {
@@ -273,8 +304,10 @@ type routePlan struct {
 }
 
 // buildRoute scores and classifies every live fault (sharded over
-// workers goroutines) and assembles the routed dispatch order.
-func buildRoute(c *logic.Circuit, faults []Fault, skip []bool, feats []FaultFeatures, widthMax, groupMax, workers int) *routePlan {
+// workers goroutines) and assembles the routed dispatch order. One walk
+// per net yields both the gate count and the width estimate, so routing
+// needs no separate feature pass.
+func buildRoute(c *logic.Circuit, faults []Fault, skip []bool, widthMax, groupMax, workers int) *routePlan {
 	if widthMax <= 0 {
 		widthMax = DefaultRouteWidthMax
 	}
@@ -302,24 +335,22 @@ func buildRoute(c *logic.Circuit, faults []Fault, skip []bool, feats []FaultFeat
 			defer wg.Done()
 			x := newWidthEstimator(c)
 			// The two faults of a net (sa0/sa1) share a sub-circuit, and
-			// fault lists keep them adjacent, so a per-shard memo halves
-			// the width work.
-			netWidth := make(map[int]int32)
+			// fault lists keep them adjacent, so remembering the last
+			// net halves the walks.
+			lastNet, lastGates, lastW := -1, int32(0), int32(-1)
 			for i := lo; i < hi; i++ {
 				if skip != nil && skip[i] {
 					rp.width[i] = -1
 					continue
 				}
-				w := int32(-1)
-				if widthNeeded(feats[i]) {
-					var ok bool
-					if w, ok = netWidth[faults[i].Net]; !ok {
-						w = x.estimate(faults[i], widthMax)
-						netWidth[faults[i].Net] = w
+				if f := faults[i]; f.Net != lastNet {
+					lastNet, lastGates, lastW = f.Net, x.walk(f), -1
+					if widthNeeded(lastGates) {
+						lastW = x.width(f, widthMax)
 					}
 				}
-				rp.width[i] = w
-				rp.class[i] = classifyFault(feats[i], w)
+				rp.width[i] = lastW
+				rp.class[i] = classifyFault(lastGates, lastW)
 			}
 		}(lo, hi)
 	}

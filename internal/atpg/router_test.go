@@ -32,8 +32,7 @@ func TestClassifyFault(t *testing.T) {
 		{"no width estimate oversized", routeHardGates + 7, -1, ClassHard},
 	}
 	for _, tc := range cases {
-		ft := FaultFeatures{Gates: tc.gates}
-		if got := classifyFault(ft, tc.width); got != tc.want {
+		if got := classifyFault(tc.gates, tc.width); got != tc.want {
 			t.Errorf("%s (gates=%d width=%d): class %v, want %v", tc.name, tc.gates, tc.width, got, tc.want)
 		}
 	}

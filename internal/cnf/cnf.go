@@ -51,11 +51,24 @@ func (l Lit) String() string {
 // Clause is a disjunction of literals.
 type Clause []Lit
 
-// Normalize sorts the literals and removes duplicates. It reports whether
-// the clause is a tautology (contains both a literal and its complement),
-// in which case the clause contents are unspecified.
+// Normalize sorts the literals and removes duplicates, in place. It
+// reports whether the clause is a tautology (contains both a literal and
+// its complement), in which case the clause contents are unspecified.
+// Gate and miter clauses are short, so those sort by insertion without
+// allocating; longer clauses fall back to sort.Slice.
 func (c Clause) Normalize() (Clause, bool) {
-	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
+	if len(c) <= insertionSortMax {
+		for i := 1; i < len(c); i++ {
+			l := c[i]
+			j := i
+			for ; j > 0 && c[j-1] > l; j-- {
+				c[j] = c[j-1]
+			}
+			c[j] = l
+		}
+	} else {
+		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
+	}
 	out := c[:0]
 	for i, l := range c {
 		if i > 0 && l == c[i-1] {
@@ -68,6 +81,9 @@ func (c Clause) Normalize() (Clause, bool) {
 	}
 	return out, false
 }
+
+// insertionSortMax is the longest clause Normalize sorts by insertion.
+const insertionSortMax = 8
 
 // String renders the clause in the paper's style, e.g. "(x0 + ~x3)".
 func (c Clause) String() string {

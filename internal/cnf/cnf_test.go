@@ -2,6 +2,7 @@ package cnf
 
 import (
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -447,4 +448,64 @@ func randomCircuit(rng *rand.Rand, n int) *logic.Circuit {
 	}
 	b.MarkOutput(b.NumNodes() - 1)
 	return b.MustBuild()
+}
+
+// normalizeReference is the sort-based Normalize the insertion-sort
+// path must reproduce: sort.Slice, then dedup, with tautology detection.
+func normalizeReference(c Clause) (Clause, bool) {
+	c = append(Clause(nil), c...)
+	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
+	var out Clause
+	for i, l := range c {
+		if i > 0 && l == c[i-1] {
+			continue
+		}
+		if i > 0 && l == c[i-1].Not() {
+			return nil, true
+		}
+		out = append(out, l)
+	}
+	return out, false
+}
+
+// TestNormalizeMatchesSortReference drives Normalize on random clauses
+// of 0–16 literals over few variables — so duplicates and complementary
+// pairs are common — on both sides of the insertion-sort cutoff, and
+// requires the reference's verdict and, for non-tautologies, its exact
+// literal sequence. Short clauses must normalize without allocating.
+func TestNormalizeMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 20000; i++ {
+		n := rng.Intn(17)
+		c := make(Clause, n)
+		vars := 1 + rng.Intn(10)
+		for k := range c {
+			c[k] = NewLit(rng.Intn(vars), rng.Intn(2) == 0)
+		}
+		want, wantTaut := normalizeReference(c)
+		got, taut := append(Clause(nil), c...).Normalize()
+		if taut != wantTaut {
+			t.Fatalf("%v: tautology %v, reference %v", c, taut, wantTaut)
+		}
+		if taut {
+			continue
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%v: normalized to %v, reference %v", c, got, want)
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("%v: normalized to %v, reference %v", c, got, want)
+			}
+		}
+	}
+	short := Clause{NewLit(7, true), NewLit(3, false), NewLit(7, true), NewLit(1, false),
+		NewLit(5, true), NewLit(2, false), NewLit(4, false), NewLit(0, true)}
+	buf := make(Clause, len(short))
+	if allocs := testing.AllocsPerRun(100, func() {
+		copy(buf, short)
+		buf.Normalize()
+	}); allocs != 0 {
+		t.Fatalf("Normalize of an %d-literal clause allocates %.0f times", len(short), allocs)
+	}
 }

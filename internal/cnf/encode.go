@@ -12,36 +12,52 @@ import (
 // netlists well under this.
 const maxXorFanin = 8
 
-// clauseWriter accumulates clauses in one shared literal slab so an
-// encoder can be reused across many formulas without allocating a slice
-// per clause. Clause boundaries are tracked as slab offsets and only
-// materialized into []Clause views at the end (the slab may reallocate
-// while clauses are still being appended, so views cannot be taken
-// earlier).
-type clauseWriter struct {
+// ClauseWriter accumulates clauses in one shared literal slab, so a
+// writer reused across many formulas allocates no slice per clause.
+// Clause boundaries are tracked as slab offsets and only materialized
+// into views on demand (the slab may reallocate while clauses are still
+// being appended, so views cannot be taken earlier). EmitGate writes
+// gate clauses into it; an Encoder builds Formulas from one, and
+// sat.Incremental.AddClauses takes its clauses straight into the
+// solver. The zero value is ready to use.
+type ClauseWriter struct {
 	slab []Lit
 	ends []int32 // slab offset one past each clause's last literal
 }
 
-func (w *clauseWriter) reset() {
+// Reset empties the writer, keeping its buffers.
+func (w *ClauseWriter) Reset() {
 	w.slab = w.slab[:0]
 	w.ends = w.ends[:0]
 }
 
-// add appends one complete clause.
-func (w *clauseWriter) add(lits ...Lit) {
+// Add appends one complete clause.
+func (w *ClauseWriter) Add(lits ...Lit) {
 	w.slab = append(w.slab, lits...)
 	w.ends = append(w.ends, int32(len(w.slab)))
 }
 
-// push/end build a clause literal by literal (for the long gate clauses).
-func (w *clauseWriter) push(l Lit) { w.slab = append(w.slab, l) }
-func (w *clauseWriter) end()       { w.ends = append(w.ends, int32(len(w.slab))) }
+// Push appends a literal to the open clause; End closes it.
+func (w *ClauseWriter) Push(l Lit) { w.slab = append(w.slab, l) }
+func (w *ClauseWriter) End()       { w.ends = append(w.ends, int32(len(w.slab))) }
+
+// NumClauses reports the clauses written since the last Reset.
+func (w *ClauseWriter) NumClauses() int { return len(w.ends) }
+
+// Clause returns a view of clause i, valid until the next write.
+func (w *ClauseWriter) Clause(i int) Clause {
+	start := int32(0)
+	if i > 0 {
+		start = w.ends[i-1]
+	}
+	e := w.ends[i]
+	return Clause(w.slab[start:e:e])
+}
 
 // clauses appends views over the slab to dst, one per collected clause.
 // The views use full slice expressions so a later append to one clause
 // copies instead of clobbering its neighbor.
-func (w *clauseWriter) clauses(dst []Clause) []Clause {
+func (w *ClauseWriter) clauses(dst []Clause) []Clause {
 	start := int32(0)
 	for _, e := range w.ends {
 		dst = append(dst, Clause(w.slab[start:e:e]))
@@ -50,9 +66,11 @@ func (w *clauseWriter) clauses(dst []Clause) []Clause {
 	return dst
 }
 
-// emitGate appends the Figure 2 consistency clauses for one gate. See
-// GateClauses for the clause sets.
-func (w *clauseWriter) emitGate(t logic.GateType, out int, in []Lit) error {
+// EmitGate writes the Figure 2 consistency clauses for one gate into w:
+// out is the gate's output variable and in[i] the literal feeding gate
+// input i (already carrying any input inversion). See GateClauses for
+// the clause sets.
+func EmitGate(w *ClauseWriter, t logic.GateType, out int, in []Lit) error {
 	z := NewLit(out, false)
 	nz := z.Not()
 	switch t {
@@ -61,32 +79,32 @@ func (w *clauseWriter) emitGate(t logic.GateType, out int, in []Lit) error {
 		if t == logic.Not {
 			l = l.Not()
 		}
-		w.add(nz, l)
-		w.add(z, l.Not())
+		w.Add(nz, l)
+		w.Add(z, l.Not())
 	case logic.And, logic.Nand:
 		if t == logic.Nand {
 			z, nz = nz, z
 		}
 		for _, l := range in {
-			w.add(nz, l)
+			w.Add(nz, l)
 		}
 		for _, l := range in {
-			w.push(l.Not())
+			w.Push(l.Not())
 		}
-		w.push(z)
-		w.end()
+		w.Push(z)
+		w.End()
 	case logic.Or, logic.Nor:
 		if t == logic.Nor {
 			z, nz = nz, z
 		}
 		for _, l := range in {
-			w.add(z, l.Not())
+			w.Add(z, l.Not())
 		}
 		for _, l := range in {
-			w.push(l)
+			w.Push(l)
 		}
-		w.push(nz)
-		w.end()
+		w.Push(nz)
+		w.End()
 	case logic.Xor, logic.Xnor:
 		k := len(in)
 		if k > maxXorFanin {
@@ -107,14 +125,14 @@ func (w *clauseWriter) emitGate(t logic.GateType, out int, in []Lit) error {
 				if bit {
 					lit = lit.Not()
 				}
-				w.push(lit)
+				w.Push(lit)
 			}
 			if parity == want {
-				w.push(z)
+				w.Push(z)
 			} else {
-				w.push(nz)
+				w.Push(nz)
 			}
-			w.end()
+			w.End()
 		}
 	default:
 		return fmt.Errorf("cnf: no clause encoding for %s", t)
@@ -132,8 +150,8 @@ func (w *clauseWriter) emitGate(t logic.GateType, out int, in []Lit) error {
 // NAND/NOR are AND/OR with the output literal complemented; BUF/NOT are the
 // two-clause equivalence; XOR/XNOR enumerate the parity-violating rows.
 func GateClauses(t logic.GateType, out int, in []Lit) ([]Clause, error) {
-	var w clauseWriter
-	if err := w.emitGate(t, out, in); err != nil {
+	var w ClauseWriter
+	if err := EmitGate(&w, t, out, in); err != nil {
 		return nil, err
 	}
 	return w.clauses(nil), nil
@@ -147,7 +165,7 @@ func GateClauses(t logic.GateType, out int, in []Lit) ([]Clause, error) {
 // the encoder's buffers: it is valid only until the next Encode call;
 // callers needing to keep it must Clone it.
 type Encoder struct {
-	w       clauseWriter
+	w       ClauseWriter
 	f       Formula
 	clauses []Clause
 	names   []string
@@ -157,7 +175,7 @@ type Encoder struct {
 // Encode is FromCircuit with buffer reuse; see the Encoder doc for the
 // result's lifetime.
 func (e *Encoder) Encode(c *logic.Circuit, forced map[int]bool) (*Formula, error) {
-	e.w.reset()
+	e.w.Reset()
 	e.names = e.names[:0]
 	for i := range c.Nodes {
 		e.names = append(e.names, c.Nodes[i].Name)
@@ -171,27 +189,27 @@ func (e *Encoder) Encode(c *logic.Circuit, forced map[int]bool) (*Formula, error
 		case logic.Input:
 			// free variable, no clauses
 		case logic.Const0:
-			e.w.add(NewLit(id, true))
+			e.w.Add(NewLit(id, true))
 		case logic.Const1:
-			e.w.add(NewLit(id, false))
+			e.w.Add(NewLit(id, false))
 		default:
 			e.in = e.in[:0]
 			for i, fi := range n.Fanin {
 				e.in = append(e.in, NewLit(fi, n.Negated(i)))
 			}
-			if err := e.w.emitGate(n.Type, id, e.in); err != nil {
+			if err := EmitGate(&e.w, n.Type, id, e.in); err != nil {
 				return nil, fmt.Errorf("gate %q: %w", n.Name, err)
 			}
 		}
 	}
 	for id, v := range forced {
-		e.w.add(NewLit(id, !v))
+		e.w.Add(NewLit(id, !v))
 	}
 	if len(c.Outputs) > 0 {
 		for _, o := range c.Outputs {
-			e.w.push(NewLit(o, false))
+			e.w.Push(NewLit(o, false))
 		}
-		e.w.end()
+		e.w.End()
 	}
 	e.clauses = e.w.clauses(e.clauses[:0])
 	e.f = Formula{NumVars: c.NumNodes(), Clauses: e.clauses, VarNames: e.names}

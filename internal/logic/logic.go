@@ -95,8 +95,9 @@ type Circuit struct {
 	Outputs []int  // primary output net IDs, in declaration order
 
 	byName map[string]int
-	topo   []int // topological order, computed once by Build
-	level  []int // logic level per node (inputs = 0)
+	topo   []int  // topological order, computed once by Build
+	level  []int  // logic level per node (inputs = 0)
+	isOut  []bool // per node: a primary output, computed once by Build
 }
 
 // NumNodes returns the number of nodes (gates + primary inputs + constants).
@@ -136,14 +137,9 @@ func (c *Circuit) MustLookup(name string) int {
 	return id
 }
 
-// IsOutput reports whether net id is a primary output.
+// IsOutput reports whether net id is a primary output, in O(1).
 func (c *Circuit) IsOutput(id int) bool {
-	for _, o := range c.Outputs {
-		if o == id {
-			return true
-		}
-	}
-	return false
+	return id >= 0 && id < len(c.isOut) && c.isOut[id]
 }
 
 // TopoOrder returns node IDs in a topological order (fanins before fanouts).
@@ -320,15 +316,15 @@ func (b *Builder) Build() (*Circuit, error) {
 		Outputs: b.outputs,
 		byName:  b.byName,
 	}
-	seen := make(map[int]bool, len(c.Outputs))
+	c.isOut = make([]bool, len(c.Nodes))
 	for _, o := range c.Outputs {
 		if o < 0 || o >= len(c.Nodes) {
 			return nil, fmt.Errorf("logic: circuit %q marks undefined net %d as output", c.Name, o)
 		}
-		if seen[o] {
+		if c.isOut[o] {
 			return nil, fmt.Errorf("logic: circuit %q marks net %q as output twice", c.Name, c.Nodes[o].Name)
 		}
-		seen[o] = true
+		c.isOut[o] = true
 	}
 	for i := range c.Nodes {
 		for _, f := range c.Nodes[i].Fanin {

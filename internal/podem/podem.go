@@ -145,7 +145,9 @@ const limitCheckMask = 63
 
 // engine is the per-Run search state. All slices are indexed by node ID
 // of the parent circuit; only IDs in the fault's support (transitive
-// fanin of its fanout cone) are ever touched.
+// fanin of its fanout cone) are ever touched, and a Searcher resets
+// exactly those after each Run, so the node-indexed arrays are allocated
+// once per Searcher rather than once per fault.
 type engine struct {
 	c   *logic.Circuit
 	net int
@@ -169,60 +171,96 @@ type engine struct {
 	faulty []Tri // meaningful only on cone nodes; elsewhere == good
 	assign []Tri // PI decisions, indexed by input node ID
 
-	// canReach[n], recomputed each sweep, reports that cone node n can
-	// still carry a fault effect to a primary output: its composite
-	// value is undetermined (or already D) and a forward path of such
-	// nodes reaches an output. The X-path check of the classic
-	// algorithm.
+	// canReach[n], recomputed each sweep once the fault is activated,
+	// reports that cone node n can still carry a fault effect to a
+	// primary output: its composite value is undetermined (or already
+	// D) and a forward path of such nodes reaches an output. The X-path
+	// check of the classic algorithm.
 	canReach []bool
+
+	// mark/stamp and stack are the cone walks' visit set and work list.
+	mark   []uint32
+	stamp  uint32
+	stack  []int
+	frames []frame
 
 	opt    Options
 	res    Result
 	sweeps int64
 }
 
+// Searcher runs PODEM searches on one circuit, reusing its node-indexed
+// search state across calls. A Searcher is not safe for concurrent use;
+// give each goroutine its own. Results are identical to Run's.
+type Searcher struct {
+	e engine
+}
+
+// NewSearcher returns a Searcher over c, whose structure must not change
+// while the Searcher is in use.
+func NewSearcher(c *logic.Circuit) *Searcher {
+	n := c.NumNodes()
+	s := &Searcher{e: engine{
+		c:        c,
+		inCone:   make([]bool, n),
+		pos:      make([]int32, n),
+		good:     make([]Tri, n),
+		faulty:   make([]Tri, n),
+		assign:   make([]Tri, n),
+		canReach: make([]bool, n),
+		mark:     make([]uint32, n),
+	}}
+	for i := range s.e.pos {
+		s.e.pos[i] = -1
+		s.e.assign[i] = TX
+	}
+	return s
+}
+
+// Circuit returns the circuit the Searcher was built for.
+func (s *Searcher) Circuit() *logic.Circuit { return s.e.c }
+
 // Run generates a test for net stuck-at sa on c. It is safe for
 // concurrent use with other Run calls on the same circuit (the circuit
 // is read-only; all search state is per-call).
 func Run(c *logic.Circuit, net int, sa bool, opt Options) Result {
-	e := &engine{c: c, net: net, opt: opt}
+	return NewSearcher(c).Run(net, sa, opt)
+}
+
+// Run generates a test for net stuck-at sa on the Searcher's circuit.
+func (s *Searcher) Run(net int, sa bool, opt Options) Result {
+	e := &s.e
+	defer e.reset()
+	e.net, e.opt, e.res, e.sweeps = net, opt, Result{}, 0
 	if sa {
 		e.sa = F1
 	} else {
 		e.sa = F0
 	}
+	c := e.c
 
-	e.cone = c.TransitiveFanout(net)
-	e.inCone = make([]bool, c.NumNodes())
+	e.walkCone()
 	for _, id := range e.cone {
 		e.inCone[id] = true
 	}
+	e.outs = e.outs[:0]
 	for _, o := range c.Outputs {
 		if e.inCone[o] {
 			e.outs = append(e.outs, o)
 		}
 	}
 	if len(e.outs) == 0 {
+		e.sub = e.sub[:0]
 		e.res.Status = Untestable // no observable output in the fanout
 		return e.res
 	}
-	e.sub = c.TransitiveFanin(e.cone...)
-	e.pos = make([]int32, c.NumNodes())
-	for i := range e.pos {
-		e.pos[i] = -1
-	}
+	e.walkSupport()
+	e.subPIs = e.subPIs[:0]
 	for p, id := range e.sub {
 		e.pos[id] = int32(p)
 		if c.Nodes[id].Type == logic.Input {
 			e.subPIs = append(e.subPIs, id)
 		}
-	}
-	e.good = make([]Tri, c.NumNodes())
-	e.faulty = make([]Tri, c.NumNodes())
-	e.assign = make([]Tri, c.NumNodes())
-	e.canReach = make([]bool, c.NumNodes())
-	for i := range e.assign {
-		e.assign[i] = TX
 	}
 	// The faulty machine's fault net is pinned to the stuck value for the
 	// whole search; implication never re-evaluates it.
@@ -230,7 +268,11 @@ func Run(c *logic.Circuit, net int, sa bool, opt Options) Result {
 
 	// Seed every support position dirty: the first imply is a full sweep
 	// that establishes consistent values from the all-X assignment.
-	e.dirty = make([]uint64, (len(e.sub)+63)/64)
+	nw := (len(e.sub) + 63) / 64
+	if cap(e.dirty) < nw {
+		e.dirty = make([]uint64, nw)
+	}
+	e.dirty = e.dirty[:nw]
 	for i := range e.dirty {
 		e.dirty[i] = ^uint64(0)
 	}
@@ -240,6 +282,89 @@ func Run(c *logic.Circuit, net int, sa bool, opt Options) Result {
 
 	e.search()
 	return e.res
+}
+
+// nextStamp starts a new cone walk, clearing the marks on the rare
+// counter wrap.
+func (e *engine) nextStamp() {
+	e.stamp++
+	if e.stamp == 0 {
+		clear(e.mark)
+		e.stamp = 1
+	}
+}
+
+// walkCone sets e.cone to the fault net's transitive fanout, ascending.
+func (e *engine) walkCone() {
+	c := e.c
+	e.nextStamp()
+	e.mark[e.net] = e.stamp
+	hi := e.net
+	e.stack = append(e.stack[:0], e.net)
+	for len(e.stack) > 0 {
+		n := e.stack[len(e.stack)-1]
+		e.stack = e.stack[:len(e.stack)-1]
+		for _, fo := range c.Nodes[n].Fanout {
+			if e.mark[fo] != e.stamp {
+				e.mark[fo] = e.stamp
+				hi = max(hi, fo)
+				e.stack = append(e.stack, fo)
+			}
+		}
+	}
+	e.cone = e.cone[:0]
+	for id := e.net; id <= hi; id++ {
+		if e.mark[id] == e.stamp {
+			e.cone = append(e.cone, id)
+		}
+	}
+}
+
+// walkSupport sets e.sub to the transitive fanin of the cone, ascending.
+func (e *engine) walkSupport() {
+	c := e.c
+	e.nextStamp()
+	lo, hi := e.net, e.net
+	e.stack = e.stack[:0]
+	for _, id := range e.cone {
+		e.mark[id] = e.stamp
+		hi = max(hi, id)
+		e.stack = append(e.stack, id)
+	}
+	for len(e.stack) > 0 {
+		n := e.stack[len(e.stack)-1]
+		e.stack = e.stack[:len(e.stack)-1]
+		for _, fi := range c.Nodes[n].Fanin {
+			if e.mark[fi] != e.stamp {
+				e.mark[fi] = e.stamp
+				lo = min(lo, fi)
+				e.stack = append(e.stack, fi)
+			}
+		}
+	}
+	e.sub = e.sub[:0]
+	for id := lo; id <= hi; id++ {
+		if e.mark[id] == e.stamp {
+			e.sub = append(e.sub, id)
+		}
+	}
+}
+
+// reset returns every entry the last Run touched to its initial value:
+// the search only writes support nodes (the cone is part of the
+// support), so this costs O(support), not O(circuit).
+func (e *engine) reset() {
+	for _, id := range e.cone {
+		e.inCone[id] = false
+		e.canReach[id] = false
+	}
+	for _, id := range e.sub {
+		e.pos[id] = -1
+		e.good[id] = F0
+		e.faulty[id] = F0
+		e.assign[id] = TX
+	}
+	e.faulty[e.net] = F0
 }
 
 // negTri inverts a determined value and passes X through.
@@ -642,7 +767,8 @@ func (e *engine) abortedByLimits() bool {
 // search is the PODEM main loop: imply, test, backtrack on failure,
 // otherwise decide one more primary input via objective/backtrace.
 func (e *engine) search() {
-	var stack []frame
+	stack := e.frames[:0]
+	defer func() { e.frames = stack[:0] }()
 	for {
 		e.imply()
 		if e.abortedByLimits() {
@@ -657,7 +783,11 @@ func (e *engine) search() {
 			}
 			return
 		}
-		e.updateReach()
+		if e.good[e.net] == e.sa^1 {
+			// Only an activated fault reads the X-path (failed and
+			// objective); before that the sweep would be wasted.
+			e.updateReach()
+		}
 		if e.failed() {
 			// Backtrack: flip the deepest single-tried decision, popping
 			// exhausted ones; an empty stack proves untestability.

@@ -110,6 +110,34 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
+// TestSearcherMatchesRun checks that one Searcher reused across every
+// fault, in an order that interleaves aborted, untestable and detected
+// searches, returns exactly what a fresh Run returns — counters included
+// — so no state leaks from one search into the next.
+func TestSearcherMatchesRun(t *testing.T) {
+	for _, c := range []*logic.Circuit{
+		gen.Random(gen.RandomParams{Inputs: 12, Gates: 120, Seed: 5}),
+		gen.Random(gen.RandomParams{Inputs: 9, Gates: 60, Seed: 42, InvProb: 0.4}),
+		gen.ArrayMultiplier(4),
+	} {
+		s := podem.NewSearcher(c)
+		faults := allFaults(c)
+		for k := range faults {
+			f := faults[(k*7)%len(faults)]
+			net, sa := f[0], f[1] == 1
+			opt := podem.Options{}
+			if k%3 == 0 {
+				opt.MaxBacktracks = 1
+			}
+			want := podem.Run(c, net, sa, opt)
+			got := s.Run(net, sa, opt)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s net%d/%v: reused searcher %+v, fresh run %+v", c.Name, net, sa, got, want)
+			}
+		}
+	}
+}
+
 // TestScoapGuidanceKeepsVerdicts checks that controllability costs steer
 // the search without changing any verdict.
 func TestScoapGuidanceKeepsVerdicts(t *testing.T) {

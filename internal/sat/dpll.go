@@ -77,8 +77,15 @@ func newDPLLState(f *cnf.Formula, cfg *DPLL) *dpllState {
 	for v := 0; v < n; v++ {
 		st.heap.push(v)
 	}
+	// Clauses are copied into one slab sized up front and normalized in
+	// place there: one allocation per formula, none per clause, and the
+	// caller's formula is never mutated.
+	slab := make([]cnf.Lit, 0, f.NumLiterals())
 	for _, c := range f.Clauses {
-		norm, taut := append(cnf.Clause(nil), c...).Normalize()
+		start := len(slab)
+		slab = append(slab, c...)
+		norm, taut := cnf.Clause(slab[start:]).Normalize()
+		slab = slab[:start]
 		if taut {
 			continue
 		}
@@ -90,7 +97,9 @@ func newDPLLState(f *cnf.Formula, cfg *DPLL) *dpllState {
 				st.failed = true
 			}
 		default:
-			st.addClause([]cnf.Lit(norm))
+			end := start + len(norm)
+			slab = slab[:end]
+			st.addClause(slab[start:end:end])
 		}
 		// Bump initial activity by occurrence so early decisions favor
 		// frequently constrained variables.
@@ -420,6 +429,39 @@ func (h *varHeap) update(v int) {
 	if h.pos[v] >= 0 {
 		h.up(h.pos[v])
 	}
+}
+
+// reset empties the heap, keeping its buffers.
+func (h *varHeap) reset() {
+	h.heap = h.heap[:0]
+	h.pos = h.pos[:0]
+	h.act = h.act[:0]
+}
+
+// grow pushes variable v, extending pos to cover it; v must equal
+// len(pos) (variables are added in order) and act must already cover it.
+func (h *varHeap) grow(v int) {
+	h.pos = append(h.pos, -1)
+	h.push(v)
+}
+
+// remove deletes v from the heap if present.
+func (h *varHeap) remove(v int) {
+	i := h.pos[v]
+	if i < 0 {
+		return
+	}
+	h.pos[v] = -1
+	last := len(h.heap) - 1
+	u := h.heap[last]
+	h.heap = h.heap[:last]
+	if i == last {
+		return
+	}
+	h.heap[i] = u
+	h.pos[u] = i
+	h.down(i)
+	h.up(h.pos[u])
 }
 
 // rebuild re-heapifies after bulk activity initialization.

@@ -7,22 +7,53 @@ import (
 )
 
 // Incremental is an assumption-based CDCL solver whose learned clauses,
-// variable activities, and saved phases survive across calls. One
-// instance is Loaded with a formula once and then queried many times
-// with SolveAssuming — the MiniSat incremental interface. The ATPG
-// engine uses it to solve every fault of a fanout region on one
-// instance, so conflicts learned proving one fault untestable (or
-// finding its vector) prune the search for the region's other faults.
+// variable activities, and saved phases survive across calls — and
+// across formula edits. Its lifecycle is the MiniSat incremental
+// interface extended with retirement:
 //
-// Determinism contract: when Load is given a priority variable list,
-// every decision assigns the first unassigned priority variable to
-// false before any activity-ordered decision is considered. The first
-// model found then projects onto the priority variables as the
+//  1. Reset (or Load) starts a formula: a variable count and a branching
+//     priority order, then clauses written through AddClause or
+//     AddClauses. This is the only cold start.
+//  2. Mark snapshots the formula; AddVars and further clauses extend it.
+//  3. SolveAssuming queries it any number of times under assumption
+//     literals.
+//  4. Retire rolls the formula back to a Mark: every variable added
+//     since, every clause added since, and every learned clause, trail
+//     entry, reason, watch and heap entry that mentions a retired
+//     variable is removed. Learned clauses over the surviving
+//     variables are kept. Then 2–4 repeat.
+//
+// The ATPG engine loads a worker's fault-free circuit once per run,
+// marks it, and per fault appends the faulty cone and selector-gated
+// activation and observability clauses, solves under the selector, and
+// retires them.
+//
+// Retirement is sound when the clauses added after the mark are a
+// conservative extension of the marked formula G: every model of G
+// extends to a model of the whole formula F. The engine's fault
+// clauses are: faulty-cone gate clauses and observability XORs only
+// define fresh variables as functions of older ones, and every other
+// clause contains a negated selector literal, so setting the selector
+// false satisfies it. F projected onto G's variables is then G itself,
+// so a learned clause C over G's variables — implied by F, since
+// conflict analysis resolves only over database clauses — is implied by
+// G: a model of G that falsified C would extend to a model of F that
+// falsified C. The same holds for level-0 facts about G's variables. A
+// caller appending clauses that are not such an extension (say, a bare
+// unit over an old variable) must not Retire across them.
+//
+// Determinism contract: when Reset or Load is given a priority variable
+// list, every decision assigns the first unassigned priority variable
+// to false before any activity-ordered decision is considered. The
+// first model found then projects onto the priority variables as the
 // lexicographically least assignment among all models consistent with
 // the assumptions, regardless of which learned clauses happen to be in
-// the database. This is what keeps region-grouped solving
-// byte-identical to fresh-per-fault solving: both extract the same
-// lex-least test vector.
+// the database. This is what keeps solving on a persistent instance
+// byte-identical to solving on a cold one: both extract the same
+// lex-least test vector. Variables start at zero activity; the engine's
+// instance branches on its priority inputs and propagates every other
+// variable from them, so activity order matters only to formulas
+// without a full priority order.
 //
 // An Incremental value is not safe for concurrent use; the ATPG engine
 // keeps one per worker, held by the worker's Arena.
@@ -51,21 +82,26 @@ const DefaultLearnedLimit = 16 << 20
 // clause reuse, it never disables the solver.
 const learnedShrinkFloor = 64 << 10
 
-// Activity rescale parameters shared with the DPLL solver (see
-// rescaleActivities in dpll.go).
-//
+// learnedRef offsets learned-clause references in watch lists, reasons
+// and conflict results: a reference below it indexes problem, one at or
+// above it indexes learned. Problem clauses can then be appended after
+// learned ones exist without renumbering either set.
+const learnedRef = 1 << 30
+
 // incState carries the persistent solver state between SolveAssuming
 // calls. The layout mirrors dpllState so the two solvers stay easy to
-// diff; the incremental additions are the clause slab (clauses must
-// outlive the encoder buffers Load copies them from), per-learned-
-// clause metadata (born call / LBD / activity), the priority branching
-// order, and the failed latch that distinguishes global UNSAT from
+// diff; the incremental additions are the clause slab (problem clauses
+// are stored in the solver, normalized in place), per-learned-clause
+// metadata (born call / LBD / activity), the priority branching order,
+// and the failed latch that distinguishes global UNSAT from
 // UNSAT-under-assumptions.
 type incState struct {
-	numVars  int
-	clauses  [][]cnf.Lit // problem clauses [0,nProblem) then learned
-	nProblem int
-	slab     []cnf.Lit // backing storage for problem clause literals
+	numVars int
+	problem [][]cnf.Lit // problem clauses: views into slab
+	pstart  []int32     // slab offset of each problem clause
+	slab    []cnf.Lit   // backing storage for problem clause literals
+	added   int         // clauses written since Reset (incl. units, tautologies)
+	learned [][]cnf.Lit
 
 	watches  [][]int32
 	assign   []cnf.Value
@@ -89,21 +125,30 @@ type incState struct {
 	priority   []int
 	prioCursor int
 
-	// Learned-clause metadata, parallel to clauses[nProblem:].
+	// Learned-clause metadata, parallel to learned.
 	born         []int64 // SolveAssuming call number that learned it
 	lbd          []int32 // distinct decision levels at learn time (glue)
 	act          []float64
 	claInc       float64
 	learnedBytes int64
 
-	calls  int64 // SolveAssuming invocations since Load
+	analyzeBuf []cnf.Lit // conflict-analysis scratch
+	remap      []int32   // Retire scratch: old learned index -> new, or -1
+
+	calls  int64 // SolveAssuming invocations since Reset
 	failed bool  // conflict at level 0: UNSAT regardless of assumptions
 
 	stats Stats // per-call, reset by SolveAssuming
 }
 
-// NewIncremental returns an empty incremental solver; call Load before
-// SolveAssuming.
+// Mark is a snapshot of an Incremental formula's size, taken by Mark and
+// restored by Retire.
+type Mark struct {
+	vars, problem, slab, added int
+}
+
+// NewIncremental returns an empty incremental solver; call Reset or
+// Load before SolveAssuming.
 func NewIncremental() *Incremental { return &Incremental{} }
 
 // clauseBytes approximates the heap footprint of one learned clause:
@@ -121,7 +166,15 @@ func (s *Incremental) effectiveLearnedLimit() int64 {
 func (s *Incremental) LearnedBytes() int64 { return s.st.learnedBytes }
 
 // NumLearned reports the learned clauses currently in the database.
-func (s *Incremental) NumLearned() int { return len(s.st.clauses) - s.st.nProblem }
+func (s *Incremental) NumLearned() int { return len(s.st.learned) }
+
+// NumVars reports the formula's current variable count.
+func (s *Incremental) NumVars() int { return s.st.numVars }
+
+// NumClauses reports the clauses written since Reset and not retired,
+// counting units and tautologies the solver absorbed rather than
+// stored.
+func (s *Incremental) NumClauses() int { return s.st.added }
 
 // ShrinkLearned halves the learned-clause budget (sticky, floored at
 // learnedShrinkFloor) and immediately reduces the database to fit.
@@ -144,21 +197,19 @@ func (s *Incremental) ShrinkLearned() int64 {
 	return next
 }
 
-// Failed reports whether the loaded formula is unsatisfiable
-// independent of any assumptions (a conflict was derived at decision
-// level 0). Only then may a caller record an Unsat result as global.
+// Failed reports whether the formula is unsatisfiable independent of
+// any assumptions (a conflict was derived at decision level 0). Only
+// then may a caller record an Unsat result as global. The latch
+// survives Retire: a conservative extension cannot set it.
 func (s *Incremental) Failed() bool { return s.st.failed }
 
-// Load resets the instance to formula f with branching priority order
-// prio (may be nil for pure activity branching). The clause data is
-// copied: f may alias encoder buffers the caller will overwrite.
-// Learned clauses, activities, and phases from any previous Load are
-// discarded — Load is a cold start for a new formula; knowledge reuse
-// happens across SolveAssuming calls, not across Loads.
-func (s *Incremental) Load(f *cnf.Formula, prio []int) {
+// Reset starts a new, empty formula over n variables with branching
+// priority order prio (may be nil for pure activity branching).
+// Learned clauses, activities, phases and any Mark from the previous
+// formula are discarded; buffers are kept for reuse.
+func (s *Incremental) Reset(n int, prio []int) {
 	st := &s.st
-	n := f.NumVars
-	st.numVars = n
+	st.numVars = 0
 	st.failed = false
 	st.calls = 0
 	st.qhead = 0
@@ -166,76 +217,265 @@ func (s *Incremental) Load(f *cnf.Formula, prio []int) {
 	st.claInc = 1
 	st.learnedBytes = 0
 	st.prioCursor = 0
+	st.added = 0
 	st.trail = st.trail[:0]
 	st.trailLim = st.trailLim[:0]
 	st.born = st.born[:0]
 	st.lbd = st.lbd[:0]
 	st.act = st.act[:0]
-	st.clauses = st.clauses[:0]
-
-	st.assign = zeroed(st.assign, n) // Unassigned == 0
-	st.level = zeroed(st.level, n)
-	st.activity = zeroed(st.activity, n)
-	st.phase = zeroed(st.phase, n)
-	st.seen = zeroed(st.seen, n)
-	st.reason = sized(st.reason, n)
-	for i := range st.reason {
-		st.reason[i] = -1
-	}
-	st.watches = sized(st.watches, 2*n)
-	for i := range st.watches {
-		st.watches[i] = st.watches[i][:0]
-	}
-	st.priority = append(st.priority[:0], prio...)
-
-	// The heap aliases the activity slice, which zeroed may have
-	// reallocated; rebuild it from scratch.
-	st.heap = newVarHeap(st.activity)
-	for v := 0; v < n; v++ {
-		st.heap.push(v)
-	}
-
-	// Copy, normalize, and watch the problem clauses, mirroring
-	// newDPLLState so both solvers search the same clause set.
-	need := 0
-	for _, c := range f.Clauses {
-		need += len(c)
-	}
-	if cap(st.slab) < need {
-		st.slab = make([]cnf.Lit, 0, need)
-	}
+	st.problem = st.problem[:0]
+	st.pstart = st.pstart[:0]
 	st.slab = st.slab[:0]
+	st.learned = st.learned[:0]
+	st.assign = st.assign[:0]
+	st.level = st.level[:0]
+	st.reason = st.reason[:0]
+	st.activity = st.activity[:0]
+	st.phase = st.phase[:0]
+	st.seen = st.seen[:0]
+	st.watches = st.watches[:0]
+	if st.heap == nil {
+		st.heap = &varHeap{}
+	}
+	st.heap.reset()
+	st.priority = append(st.priority[:0], prio...)
+	s.AddVars(n)
+}
+
+// Load resets the instance to formula f with branching priority order
+// prio. The clauses are written into the solver's own storage; f is
+// not retained and may alias encoder buffers the caller will
+// overwrite.
+func (s *Incremental) Load(f *cnf.Formula, prio []int) {
+	s.Reset(f.NumVars, prio)
 	for _, c := range f.Clauses {
-		norm, taut := append(cnf.Clause(nil), c...).Normalize()
-		if taut {
+		s.AddClause(c...)
+	}
+	if !s.st.failed && s.propagate() >= 0 {
+		s.st.failed = true
+	}
+}
+
+// AddVars appends n fresh variables and returns the first one's index.
+func (s *Incremental) AddVars(n int) int {
+	st := &s.st
+	first := st.numVars
+	st.numVars += n
+	for v := first; v < st.numVars; v++ {
+		st.assign = append(st.assign, cnf.Unassigned)
+		st.level = append(st.level, 0)
+		st.reason = append(st.reason, -1)
+		st.activity = append(st.activity, 0)
+		st.phase = append(st.phase, false)
+		st.seen = append(st.seen, false)
+	}
+	for l := 2 * first; l < 2*st.numVars; l++ {
+		if l < cap(st.watches) {
+			st.watches = st.watches[:l+1]
+			st.watches[l] = st.watches[l][:0]
+		} else {
+			st.watches = append(st.watches, nil)
+		}
+	}
+	// The heap aliases the activity slice, which append may have
+	// reallocated.
+	st.heap.act = st.activity
+	for v := first; v < st.numVars; v++ {
+		st.heap.grow(v)
+	}
+	return first
+}
+
+// AddClause writes one clause. Its literals are copied into the
+// solver's slab, normalized there in place, and simplified against the
+// level-0 assignment: a clause already satisfied there is dropped, false
+// literals are removed, a unit is asserted at level 0 (propagated by the
+// next SolveAssuming), and an empty clause latches Failed. The
+// simplification is sound across Retire because a level-0 fact is
+// retired only together with the clauses that mention its variable.
+// Clauses may only be written between SolveAssuming calls (at decision
+// level 0).
+func (s *Incremental) AddClause(lits ...cnf.Lit) {
+	st := &s.st
+	st.added++
+	start := len(st.slab)
+	if start+len(lits) > cap(st.slab) {
+		s.growSlab(len(lits))
+	}
+	st.slab = append(st.slab, lits...)
+	norm, taut := cnf.Clause(st.slab[start:]).Normalize()
+	st.slab = st.slab[:start]
+	if taut {
+		return
+	}
+	w := 0
+	for _, l := range norm {
+		switch s.litValue(l) {
+		case cnf.True:
+			return
+		case cnf.False:
 			continue
 		}
-		switch len(norm) {
-		case 0:
-			st.failed = true
-		case 1:
-			if !s.enqueue(norm[0], -1) {
-				st.failed = true
-			}
-		default:
-			start := len(st.slab)
-			st.slab = append(st.slab, norm...)
-			cl := st.slab[start : start+len(norm) : start+len(norm)]
-			ci := int32(len(st.clauses))
-			st.clauses = append(st.clauses, cl)
-			st.watches[cl[0]] = append(st.watches[cl[0]], ci)
-			st.watches[cl[1]] = append(st.watches[cl[1]], ci)
-		}
-		for _, l := range norm {
-			st.activity[l.Var()] += 0.1
-		}
+		norm[w] = l
+		w++
 	}
-	st.nProblem = len(st.clauses)
-	st.heap.rebuild(n)
-
-	if !st.failed && s.propagate() >= 0 {
+	switch w {
+	case 0:
 		st.failed = true
+	case 1:
+		s.enqueue(norm[0], -1)
+	default:
+		end := start + w
+		st.slab = st.slab[:end]
+		ci := int32(len(st.problem))
+		st.problem = append(st.problem, st.slab[start:end:end])
+		st.pstart = append(st.pstart, int32(start))
+		st.watches[norm[0]] = append(st.watches[norm[0]], ci)
+		st.watches[norm[1]] = append(st.watches[norm[1]], ci)
 	}
+}
+
+// AddClauses writes every clause collected in w; see AddClause. With
+// cnf.EmitGate filling w this takes gate clauses from a netlist into
+// the solver with no intermediate Formula.
+func (s *Incremental) AddClauses(w *cnf.ClauseWriter) {
+	for i := 0; i < w.NumClauses(); i++ {
+		s.AddClause(w.Clause(i)...)
+	}
+}
+
+// growSlab reallocates the slab with room for at least need more
+// literals and re-points every problem clause at the new backing array.
+func (s *Incremental) growSlab(need int) {
+	st := &s.st
+	n := 2*cap(st.slab) + 256
+	if n < len(st.slab)+need {
+		n = len(st.slab) + need
+	}
+	slab := make([]cnf.Lit, len(st.slab), n)
+	copy(slab, st.slab)
+	for i, c := range st.problem {
+		o := int(st.pstart[i])
+		st.problem[i] = slab[o : o+len(c) : o+len(c)]
+	}
+	st.slab = slab
+}
+
+// Mark snapshots the formula for a later Retire. Call it between
+// SolveAssuming calls.
+func (s *Incremental) Mark() Mark {
+	st := &s.st
+	return Mark{vars: st.numVars, problem: len(st.problem), slab: len(st.slab), added: st.added}
+}
+
+// Retire rolls the formula back to mark m: the variables and problem
+// clauses added since are removed, and so is every learned clause,
+// level-0 trail entry, watch and heap entry that mentions a retired
+// variable. Learned clauses and level-0 facts over the surviving
+// variables stay — sound when everything added since m is a
+// conservative extension of the marked formula (see the type comment).
+// Reasons of the surviving level-0 facts are cleared, as reduceDB does:
+// conflict analysis never follows a level-0 reason. Surviving facts not
+// yet propagated stay queued for the next SolveAssuming.
+func (s *Incremental) Retire(m Mark) {
+	s.cancelUntil(0)
+	st := &s.st
+	n := m.vars
+
+	st.problem = st.problem[:m.problem]
+	st.pstart = st.pstart[:m.problem]
+	st.slab = st.slab[:m.slab]
+	st.added = m.added
+
+	st.remap = sized(st.remap, len(st.learned))
+	kept := 0
+	var bytes int64
+	for li, c := range st.learned {
+		st.remap[li] = -1
+		if !litsBelow(c, n) {
+			continue
+		}
+		st.remap[li] = int32(kept)
+		st.learned[kept] = c
+		st.born[kept] = st.born[li]
+		st.lbd[kept] = st.lbd[li]
+		st.act[kept] = st.act[li]
+		bytes += clauseBytes(len(c))
+		kept++
+	}
+	clear(st.learned[kept:])
+	st.learned = st.learned[:kept]
+	st.born = st.born[:kept]
+	st.lbd = st.lbd[:kept]
+	st.act = st.act[:kept]
+	st.learnedBytes = bytes
+
+	// Surviving facts keep their order, and with it their propagation
+	// state: only the survivors among the entries propagate had already
+	// consumed count as done. Facts still pending — units written by
+	// AddClause, or a learned unit, that no propagate has visited yet
+	// because the call aborted on a limit first — stay pending for the
+	// next SolveAssuming; marking them done would leave their watches
+	// unvisited and the clauses they falsify unwatched.
+	w, done := 0, 0
+	for i, l := range st.trail {
+		if v := l.Var(); v < n {
+			st.trail[w] = l
+			st.reason[v] = -1
+			w++
+			if i < st.qhead {
+				done = w
+			}
+		}
+	}
+	st.trail = st.trail[:w]
+	st.qhead = done
+
+	st.watches = st.watches[:2*n]
+	for l, ws := range st.watches {
+		out := ws[:0]
+		for _, ci := range ws {
+			if ci < learnedRef {
+				if int(ci) < m.problem {
+					out = append(out, ci)
+				}
+			} else if r := st.remap[ci-learnedRef]; r >= 0 {
+				out = append(out, learnedRef+r)
+			}
+		}
+		st.watches[l] = out
+	}
+
+	for v := n; v < st.numVars; v++ {
+		st.heap.remove(v)
+	}
+	st.numVars = n
+	st.assign = st.assign[:n]
+	st.level = st.level[:n]
+	st.reason = st.reason[:n]
+	st.activity = st.activity[:n]
+	st.phase = st.phase[:n]
+	st.seen = st.seen[:n]
+	st.heap.act = st.activity
+	st.heap.pos = st.heap.pos[:n]
+}
+
+// litsBelow reports whether every literal of c is over a variable < n.
+func litsBelow(c []cnf.Lit, n int) bool {
+	for _, l := range c {
+		if l.Var() >= n {
+			return false
+		}
+	}
+	return true
+}
+
+// clause returns the clause a watch, reason or conflict reference names.
+func (st *incState) clause(ci int32) []cnf.Lit {
+	if ci < learnedRef {
+		return st.problem[ci]
+	}
+	return st.learned[ci-learnedRef]
 }
 
 // Solve implements the Solver interface: one-shot solving without
@@ -317,7 +557,7 @@ func (s *Incremental) SolveAssuming(assumps []cnf.Lit, lim Limits) Solution {
 				// learned in an earlier call delivered the refutation,
 				// credit the reuse counter — this is the common case
 				// where retention short-circuits a whole re-proof.
-				if li := int(confl) - st.nProblem; li >= 0 && st.born[li] < st.calls {
+				if confl >= learnedRef && st.born[confl-learnedRef] < st.calls {
 					st.stats.LearnedReused++
 				}
 				return finish(Unsat, nil)
@@ -431,7 +671,7 @@ func (s *Incremental) propagate() int32 {
 		kept := ws[:0]
 		for wi := 0; wi < len(ws); wi++ {
 			ci := ws[wi]
-			c := st.clauses[ci]
+			c := st.clause(ci)
 			if c[0] == falseLit {
 				c[0], c[1] = c[1], c[0]
 			}
@@ -481,18 +721,19 @@ func (s *Incremental) bumpVar(v int) {
 // the direct measure of cross-fault knowledge reuse.
 func (s *Incremental) analyze(confl int32) ([]cnf.Lit, int) {
 	st := &s.st
-	learnt := []cnf.Lit{litUndef}
+	learnt := append(st.analyzeBuf[:0], litUndef)
 	counter := 0
 	p := litUndef
 	index := len(st.trail) - 1
 	for {
-		if li := int(confl) - st.nProblem; li >= 0 {
+		if confl >= learnedRef {
+			li := int(confl - learnedRef)
 			s.bumpClause(li)
 			if st.born[li] < st.calls {
 				st.stats.LearnedReused++
 			}
 		}
-		c := st.clauses[confl]
+		c := st.clause(confl)
 		for _, q := range c {
 			if q == p {
 				continue
@@ -530,6 +771,7 @@ func (s *Incremental) analyze(confl int32) ([]cnf.Lit, int) {
 	for _, l := range learnt[1:] {
 		st.seen[l.Var()] = false
 	}
+	st.analyzeBuf = learnt
 	return learnt, back
 }
 
@@ -552,8 +794,8 @@ func (s *Incremental) learn(learnt []cnf.Lit) bool {
 		}
 	}
 	cl[1], cl[deepest] = cl[deepest], cl[1]
-	ci := int32(len(st.clauses))
-	st.clauses = append(st.clauses, cl)
+	ci := int32(learnedRef + len(st.learned))
+	st.learned = append(st.learned, cl)
 	st.watches[cl[0]] = append(st.watches[cl[0]], ci)
 	st.watches[cl[1]] = append(st.watches[cl[1]], ci)
 	st.born = append(st.born, st.calls)
@@ -646,6 +888,13 @@ func (s *Incremental) pickBranch() cnf.Lit {
 		}
 		st.prioCursor++
 	}
+	if len(st.trail) == st.numVars {
+		// Everything is assigned — the common case once the priority
+		// inputs are decided, since a circuit encoding propagates every
+		// other variable from them. Draining the heap to find that out
+		// would cost O(n log n) per model on a whole-circuit instance.
+		return litUndef
+	}
 	for st.heap.size() > 0 {
 		v := st.heap.pop()
 		if st.assign[v] == cnf.Unassigned {
@@ -663,7 +912,7 @@ func (s *Incremental) pickBranch() cnf.Lit {
 // removes models, so the lex-least determinism contract is unaffected.
 func (s *Incremental) reduceDB(budget int64) {
 	st := &s.st
-	nLearned := len(st.clauses) - st.nProblem
+	nLearned := len(st.learned)
 	if nLearned == 0 || len(st.trailLim) != 0 {
 		return
 	}
@@ -691,7 +940,7 @@ func (s *Incremental) reduceDB(budget int64) {
 	var kept int64
 	target := budget / 2
 	for _, li := range order {
-		b := clauseBytes(len(st.clauses[st.nProblem+li]))
+		b := clauseBytes(len(st.learned[li]))
 		if kept+b > target {
 			continue
 		}
@@ -699,21 +948,21 @@ func (s *Incremental) reduceDB(budget int64) {
 		kept += b
 	}
 
-	// Compact the learned tail in place; problem clause indices are
-	// stable, so only learned indices change and those are re-derived
-	// by the watch rebuild below.
+	// Compact the learned clauses in place; problem clause references
+	// are stable, learned ones are re-derived by the watch rebuild below.
 	w := 0
 	for li := 0; li < nLearned; li++ {
 		if !keep[li] {
 			continue
 		}
-		st.clauses[st.nProblem+w] = st.clauses[st.nProblem+li]
+		st.learned[w] = st.learned[li]
 		st.born[w] = st.born[li]
 		st.lbd[w] = st.lbd[li]
 		st.act[w] = st.act[li]
 		w++
 	}
-	st.clauses = st.clauses[:st.nProblem+w]
+	clear(st.learned[w:])
+	st.learned = st.learned[:w]
 	st.born = st.born[:w]
 	st.lbd = st.lbd[:w]
 	st.act = st.act[:w]
@@ -728,28 +977,38 @@ func (s *Incremental) reduceDB(budget int64) {
 	for i := range st.watches {
 		st.watches[i] = st.watches[i][:0]
 	}
-	for ci, c := range st.clauses {
-		w0, w1 := -1, -1
-		for k, l := range c {
-			if s.litValue(l) != cnf.False {
-				if w0 < 0 {
-					w0 = k
-				} else {
-					w1 = k
-					break
-				}
-			}
-		}
-		if w0 > 0 {
-			c[0], c[w0] = c[w0], c[0]
-			if w1 == 0 {
-				w1 = w0
-			}
-		}
-		if w1 > 1 {
-			c[1], c[w1] = c[w1], c[1]
-		}
-		st.watches[c[0]] = append(st.watches[c[0]], int32(ci))
-		st.watches[c[1]] = append(st.watches[c[1]], int32(ci))
+	for ci, c := range st.problem {
+		s.rewatch(int32(ci), c)
 	}
+	for li, c := range st.learned {
+		s.rewatch(int32(learnedRef+li), c)
+	}
+}
+
+// rewatch moves two non-false literals of clause ci to its front and
+// watches them (see reduceDB).
+func (s *Incremental) rewatch(ci int32, c []cnf.Lit) {
+	st := &s.st
+	w0, w1 := -1, -1
+	for k, l := range c {
+		if s.litValue(l) != cnf.False {
+			if w0 < 0 {
+				w0 = k
+			} else {
+				w1 = k
+				break
+			}
+		}
+	}
+	if w0 > 0 {
+		c[0], c[w0] = c[w0], c[0]
+		if w1 == 0 {
+			w1 = w0
+		}
+	}
+	if w1 > 1 {
+		c[1], c[w1] = c[w1], c[1]
+	}
+	st.watches[c[0]] = append(st.watches[c[0]], ci)
+	st.watches[c[1]] = append(st.watches[c[1]], ci)
 }

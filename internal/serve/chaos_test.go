@@ -146,7 +146,9 @@ func TestChaosPanicIsolation(t *testing.T) {
 // drain deadline is checkpointed (persisted running, resumable), a
 // queued job stays durably queued — and a restart finishes both.
 func TestChaosGracefulDrain(t *testing.T) {
-	netlist := genBenchNetlist(t, 25, 850, 11)
+	// Sized so the job outlives the 1 s drain deadline with room to
+	// spare: about 2.7 s at 4 engine workers on a 2-CPU host.
+	netlist := genBenchNetlist(t, 32, 2000, 11)
 	dataDir := t.TempDir()
 	goroutines0 := runtime.NumGoroutine()
 

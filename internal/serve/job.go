@@ -164,6 +164,15 @@ func (j *job) setState(state, errMsg string) error {
 	return writeMeta(j.dir, meta)
 }
 
+// finish moves j to a terminal state and counts it in
+// atpgd_jobs_completed_total. The count goes up first, so whoever sees
+// the terminal state — a client polling the job, a waiter on j.done —
+// also sees it counted.
+func (s *Server) finish(j *job, state, errMsg string) {
+	s.jobsCompleted.With(state).Inc()
+	_ = j.setState(state, errMsg)
+}
+
 // writeMeta persists meta.json via the tmp+rename idiom, so a crash
 // mid-write leaves the previous state readable rather than a torn file.
 func writeMeta(dir string, meta JobMeta) error {
@@ -275,8 +284,7 @@ func (s *Server) runJob(parent context.Context, j *job) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.logf("job %s: panic: %v\n%s", j.meta.ID, r, debug.Stack())
-			_ = j.setState(StateFailed, fmt.Sprintf("internal panic: %v", r))
-			s.jobsCompleted.With(StateFailed).Inc()
+			s.finish(j, StateFailed, fmt.Sprintf("internal panic: %v", r))
 		}
 	}()
 	if err := j.setState(StateRunning, ""); err != nil {
@@ -298,8 +306,7 @@ func (s *Server) runJob(parent context.Context, j *job) {
 
 	c, faults, err := s.loadJobCircuit(j)
 	if err != nil {
-		_ = j.setState(StateFailed, err.Error())
-		s.jobsCompleted.With(StateFailed).Inc()
+		s.finish(j, StateFailed, err.Error())
 		return
 	}
 
@@ -314,8 +321,7 @@ func (s *Server) runJob(parent context.Context, j *job) {
 	opt := jobRunOptions(tel, time.Duration(j.meta.BudgetNS), nil, nil)
 	journal, resume, err := OpenJournal(j.ckptPath(), true, c, faults, opt, checkpoint.Options{})
 	if err != nil {
-		_ = j.setState(StateFailed, fmt.Sprintf("checkpoint: %v", err))
-		s.jobsCompleted.With(StateFailed).Inc()
+		s.finish(j, StateFailed, fmt.Sprintf("checkpoint: %v", err))
 		return
 	}
 	opt.Resume = resume
@@ -347,29 +353,24 @@ func (s *Server) runJob(parent context.Context, j *job) {
 	case runErr == nil:
 		res := buildResult(sum, resumed)
 		if err := writeResult(j, res); err != nil {
-			_ = j.setState(StateFailed, fmt.Sprintf("persist result: %v", err))
-			s.jobsCompleted.With(StateFailed).Inc()
+			s.finish(j, StateFailed, fmt.Sprintf("persist result: %v", err))
 			return
 		}
-		_ = j.setState(StateDone, "")
-		s.jobsCompleted.With(StateDone).Inc()
+		s.finish(j, StateDone, "")
 	case errors.Is(runErr, context.DeadlineExceeded):
-		_ = j.setState(StateFailed, fmt.Sprintf("job deadline (%s) exceeded", time.Duration(j.meta.DeadlineNS)))
-		s.jobsCompleted.With(StateFailed).Inc()
+		s.finish(j, StateFailed, fmt.Sprintf("job deadline (%s) exceeded", time.Duration(j.meta.DeadlineNS)))
 	case errors.Is(runErr, context.Canceled):
 		j.mu.Lock()
 		byUser := j.userCancel
 		j.mu.Unlock()
 		if byUser {
-			_ = j.setState(StateCanceled, "")
-			s.jobsCompleted.With(StateCanceled).Inc()
+			s.finish(j, StateCanceled, "")
 		}
 		// Otherwise this is a drain: the job stays persisted as
 		// StateRunning with its journal synced, exactly the shape the
 		// restart scan resumes from. No terminal transition.
 	default:
-		_ = j.setState(StateFailed, runErr.Error())
-		s.jobsCompleted.With(StateFailed).Inc()
+		s.finish(j, StateFailed, runErr.Error())
 	}
 }
 

@@ -546,8 +546,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case meta.State == StateQueued && s.queue.remove(id):
 		s.queueDepth.Set(int64(s.queue.depth()))
-		_ = j.setState(StateCanceled, "")
-		s.jobsCompleted.With(StateCanceled).Inc()
+		s.finish(j, StateCanceled, "")
 		meta, _, _ = j.snapshot()
 		writeJSON(w, http.StatusOK, meta)
 	case !terminal(meta.State):
